@@ -1,0 +1,13 @@
+"""Make the checkout's ``src`` and the ``perfbench`` package importable.
+
+Run with ``python -m pytest perfbench/tests`` from the root of the
+checkout.
+"""
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+for path in (ROOT, ROOT / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
