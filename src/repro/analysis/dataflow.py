@@ -28,10 +28,10 @@ shipped tree can be clean without suppressions:
 * *allocator functions* — functions whose every ``return`` is composed
   directly of ``acquire`` calls (e.g. ``_lift_temps``).  Call sites of
   an allocator become acquire sites in the caller via the call graph.
-* *stage-split protocol* — functions named ``compress_stage1`` (or
-  whose docstring carries a ``pool-ownership: caller`` marker) hand
-  pooled buffers to their caller inside the returned state; the runtime
-  sanitizer covers that hand-off dynamically.
+* *caller-owned returns* — functions whose docstring carries a
+  ``pool-ownership: caller`` marker hand pooled buffers to their caller
+  inside the returned value; the runtime sanitizer covers that hand-off
+  dynamically.
 """
 
 from __future__ import annotations
@@ -46,15 +46,12 @@ __all__ = [
     "pool_aliases", "is_pool_acquire", "is_pool_release",
     "release_target_names", "allocator_keys", "analyze_buffers",
     "lock_id_for_expr", "LockOrderGraph", "build_lock_graph",
-    "OWNERSHIP_MARKER", "PROTOCOL_EXEMPT_NAMES",
+    "OWNERSHIP_MARKER",
 ]
 
 #: docstring marker declaring that pooled buffers in the return value
 #: transfer to the caller (documented API contract, not a suppression)
 OWNERSHIP_MARKER = "pool-ownership: caller"
-
-#: function names whose returns transfer pool ownership by repo protocol
-PROTOCOL_EXEMPT_NAMES = ("compress_stage1",)
 
 _STATE_CAP = 32
 
@@ -289,8 +286,6 @@ def allocator_keys(graph: CallGraph) -> set[str]:
 
 def ownership_transfers_to_caller(info: FunctionInfo) -> bool:
     """True when returned pooled buffers transfer by documented protocol."""
-    if info.name in PROTOCOL_EXEMPT_NAMES:
-        return True
     doc = ast.get_docstring(info.node) or ""
     return OWNERSHIP_MARKER in doc
 

@@ -1,8 +1,8 @@
 """Lock rules (``LK*``): acquire/release balance and global lock order.
 
-The chunk-pipelined executor, the buffer pool, the trace runtime, and
-the metrics registry each guard their state with a lock; PR 8 made it
-normal for one request to cross several of them.  LK001 keeps manual
+The shared executor, the trace runtime, and the metrics registry each
+guard their state with a lock, and one request routinely crosses
+several of them.  LK001 keeps manual
 ``lock.acquire()`` calls exception-safe inside one function; LK002
 builds a whole-program static lock-order graph (``with`` regions plus
 call-graph reachability) and flags any cycle — the static shadow of the
@@ -62,9 +62,8 @@ class LockImbalanceRule(Rule):
     )
     rationale = (
         "A lock left held on an exception path deadlocks the next "
-        "request on that subsystem — in the pipelined executor that "
-        "stalls the whole stage overlap the paper's throughput numbers "
-        "depend on."
+        "request on that subsystem — in the shared executor that stalls "
+        "every parallel compression in the process."
     )
     good_example = (
         "lock.acquire()\n"

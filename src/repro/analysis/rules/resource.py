@@ -10,8 +10,8 @@ path-sensitive lifetime interpreter from
 pool and report the three failure shapes at the acquire / release /
 escape site.
 
-Sanctioned ownership transfers (allocator functions and the documented
-``compress_stage1`` stage-split protocol) are modeled, not suppressed —
+Sanctioned ownership transfers (allocator functions and functions
+documented ``pool-ownership: caller``) are modeled, not suppressed —
 see the dataflow module docstring.
 """
 
@@ -87,7 +87,7 @@ class ReleaseMissedRule(_BufferRule):
         "A pool.acquire() result must be released on every exit path out "
         "of the acquiring function — normal returns, early returns, and "
         "exception edges — unless ownership transfers via an allocator "
-        "return or the documented compress_stage1 protocol.  Use "
+        "return or a documented 'pool-ownership: caller' hand-off.  Use "
         "try/finally around any span that can raise."
     )
     rationale = (
@@ -166,9 +166,9 @@ class BufferEscapeRule(_BufferRule):
     description = (
         "A pooled buffer must not escape the acquiring function via a "
         "return value or an attribute store, except through an allocator "
-        "function (every return built from acquires) or the documented "
-        "compress_stage1 ownership hand-off ('pool-ownership: caller' in "
-        "the docstring).  Escaped buffers outlive the lifetime the "
+        "function (every return built from acquires) or a documented "
+        "ownership hand-off ('pool-ownership: caller' in the docstring).  "
+        "Escaped buffers outlive the lifetime the "
         "acquirer reasoned about."
     )
     rationale = (

@@ -96,22 +96,6 @@ class MGARDCompressor(PressioCompressor):
                                        level=self._level)
         return PressioData.from_bytes(stream)
 
-    def compress_stage1(self, input: PressioData):
-        arr = input.to_numpy()
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"mgard cannot compress dtype {arr.dtype}")
-        if any(d < native_mgard.MIN_DIM for d in input.dims):
-            raise InvalidDimensionsError(
-                f"mgard requires >= {native_mgard.MIN_DIM} samples per "
-                f"dimension, got dims {tuple(input.dims)}"
-            )
-        return native_mgard.compress_stage1(arr, self._tolerance, self._s,
-                                            backend=self._backend,
-                                            level=self._level)
-
-    def compress_stage2(self, state) -> PressioData:
-        return PressioData.from_bytes(native_mgard.compress_stage2(state))
-
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
         expected = output.dims if output.num_dimensions else None
         out = native_mgard.decompress(input.as_memoryview(), expected_dims=expected)

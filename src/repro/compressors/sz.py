@@ -204,15 +204,6 @@ class SZCompressor(PressioCompressor):
         stream = native_sz.compress(arr, self._params)
         return PressioData.from_bytes(stream)
 
-    def compress_stage1(self, input: PressioData):
-        arr = input.to_numpy()  # read-only view: SZ cannot clobber it
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"sz cannot compress dtype {arr.dtype}")
-        return native_sz.compress_stage1(arr, self._params)
-
-    def compress_stage2(self, state) -> PressioData:
-        return PressioData.from_bytes(native_sz.compress_stage2(state))
-
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
         stream = input.as_memoryview()
         expected = output.dims if output.num_dimensions else None

@@ -6,14 +6,13 @@
   advertises full re-entrancy and the parallel meta-compressors may
   clone it freely;
 * ``sz_omp`` — "the parallel CPU version of SZ": the same pipeline run
-  over leading-axis slabs by a worker pool (the OpenMP analog), with an
-  ``sz_omp:nthreads`` option.
+  over leading-axis slabs on the shared executor (the OpenMP analog),
+  with an ``sz_omp:nthreads`` option that sets the slab count.
 """
 
 from __future__ import annotations
 
 import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin
 from ..core.status import CorruptStreamError, InvalidOptionError
 from ..encoders.headers import read_header, write_header
+from ..meta import executor as _executor
 from ..native.sz import core as sz_core
 from .sz import SZCompressor
 
@@ -118,14 +118,11 @@ class SZOmpCompressor(SZThreadsafeCompressor):
         slabs = self._slabs(arr)
         params = self._params
 
-        def work(slab: np.ndarray) -> bytes:
+        def work(_worker, slab: np.ndarray) -> bytes:
             return sz_core.compress(slab, params)
 
-        if self._nthreads == 1 or len(slabs) == 1:
-            streams = [work(s) for s in slabs]
-        else:
-            with ThreadPoolExecutor(max_workers=len(slabs)) as pool:
-                streams = list(pool.map(work, slabs))
+        # the slabs share only the read-only params: no clones needed
+        streams = _executor.map(work, slabs, self._nthreads)
         table = struct.pack(f"<{len(streams)}Q", *(len(s) for s in streams))
         header = write_header(_OMP_MAGIC, input.dtype, input.dims,
                               ints=(len(streams),))

@@ -153,25 +153,6 @@ class ZFPCompressor(PressioCompressor):
         stream = native_zfp.zfp_compress(self._stream, field)
         return PressioData.from_bytes(stream)
 
-    def compress_stage1(self, input: PressioData):
-        arr = input.to_numpy()
-        if arr.dtype.kind not in "fiu":
-            raise InvalidTypeError(f"zfp cannot compress dtype {arr.dtype}")
-        dims = input.dims
-        if any(0 < d < 4 for d in dims):
-            warnings.warn(
-                f"zfp pads dimensions smaller than its 4^d block size "
-                f"(dims {tuple(dims)}); expect degraded compression ratios",
-                stacklevel=2,
-            )
-        s = self._stream
-        return native_zfp.compress_stage1(
-            np.asarray(arr).reshape(dims), s.mode, s.parameter,
-            backend=s.backend, level=s.level, transform=s.transform)
-
-    def compress_stage2(self, state) -> PressioData:
-        return PressioData.from_bytes(native_zfp.compress_stage2(state))
-
     def _decompress(self, input: PressioData, output: PressioData) -> PressioData:
         expected = output.dims if output.num_dimensions else None
         out = native_zfp.decompress(input.as_memoryview(), expected_dims=expected)

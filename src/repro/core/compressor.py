@@ -229,50 +229,6 @@ class PressioCompressor(Configurable):
             _obs.record_error("decompress", self.get_name(), e)
             raise
 
-    # ------------------------------------------------------------------
-    # split-phase compression (pipelined meta-compressor support)
-    # ------------------------------------------------------------------
-    def compress_stage1(self, input: PressioData):
-        """First half of a split compress: the numpy-heavy, GIL-bound part.
-
-        Returns an opaque state token for :meth:`compress_stage2`.  The
-        two halves compose to exactly :meth:`compress`::
-
-            compress(x) == compress_stage2(compress_stage1(x))   # bytes
-
-        The default implementation defers all work to stage 2 (the token
-        is the input itself), so every plugin supports the protocol but
-        only plugins that override both hooks (see
-        :meth:`supports_stage_split`) give a pipelined executor real
-        compute overlap.  State tokens may alias pooled scratch buffers:
-        pass each token to stage 2 **exactly once**, and do not reuse it
-        afterwards.
-        """
-        return input
-
-    def compress_stage2(self, state) -> PressioData:
-        """Second half of a split compress: entropy coding and framing.
-
-        Plugins that override this run the zlib/bz2/lzma-style byte work
-        — which releases the GIL — so a pipelined executor can overlap
-        it with stage 1 of the next block on another thread.
-        """
-        if isinstance(state, PressioData):
-            return self.compress(state)
-        raise PressioError(
-            f"{self.get_name()} does not implement split-phase "
-            f"compression for state {type(state).__name__}")
-
-    def supports_stage_split(self) -> bool:
-        """True when this plugin genuinely splits compress into stages.
-
-        The base-class fallbacks make the two-call protocol universally
-        *correct*; this reports whether it is universally *useful* (i.e.
-        the plugin overrode :meth:`compress_stage1`).
-        """
-        return (type(self).compress_stage1
-                is not PressioCompressor.compress_stage1)
-
     def compress_many(self, inputs: list[PressioData]) -> list[PressioData]:
         """Compress several buffers (overridden by parallel meta-compressors)."""
         return [self.compress(i) for i in inputs]

@@ -2,8 +2,9 @@
 
 Importing this package registers: ``transpose``, ``resize``,
 ``delta_encoding``, ``linear_quantizer``, ``sample``, ``chunking``,
-``pipelined``, ``many_independent``, ``many_dependent``,
-``fault_injector``, ``error_injector``, ``switch``, ``opt``, ``sparse``.
+``many_independent``, ``many_dependent``, ``fault_injector``,
+``error_injector``, ``switch``, ``opt``, ``sparse``.  The parallel ones
+share one worker pool (:mod:`repro.meta.executor`).
 """
 
 from .base import MetaCompressor
@@ -14,7 +15,6 @@ from .parallel import (
     ManyDependentCompressor,
     ManyIndependentCompressor,
 )
-from .pipeline import PipelinedCompressor
 from .sparse import SparseCompressor
 from .switch import SwitchCompressor
 from .transforms import (
@@ -33,7 +33,6 @@ __all__ = [
     "LinearQuantizerCompressor",
     "SampleCompressor",
     "ChunkingCompressor",
-    "PipelinedCompressor",
     "ManyIndependentCompressor",
     "ManyDependentCompressor",
     "FaultInjectorCompressor",

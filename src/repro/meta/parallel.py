@@ -14,21 +14,20 @@ These reproduce LibPressio's automatic task parallelism (Section IV-D):
 Thread safety is decided from the inner plugin's advertised
 ``pressio:thread_safe`` configuration — the introspection datum the
 paper faults other interface libraries for not exposing.  When the
-inner plugin is fully re-entrant each worker gets a clone; when it is
-``single`` (sz-style global state), work degrades gracefully to serial
-execution rather than corrupting shared state.
+inner plugin is fully re-entrant the tasks run on the shared executor
+(:mod:`repro.meta.executor`), each contiguous group on its own clone;
+otherwise (e.g. sz-style global state) work degrades gracefully to
+serial execution rather than corrupting shared state.
 """
 
 from __future__ import annotations
 
 import os as _os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from ..core.compressor import PressioCompressor
-from ..core.configurable import ThreadSafety
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
 from ..core.registry import compressor_plugin, metrics_registry
@@ -36,17 +35,13 @@ from ..core.status import CorruptStreamError, InvalidOptionError
 from ..encoders.headers import read_header, write_header
 from ..trace import propagate as _propagate
 from ..trace import runtime as _trace
+from . import executor as _executor
 from .base import MetaCompressor
 
 __all__ = ["ChunkingCompressor", "ManyIndependentCompressor",
            "ManyDependentCompressor"]
 
 _MAGIC = b"CHK1"
-
-
-def _inner_is_reentrant(inner: PressioCompressor) -> bool:
-    cfg = inner.get_configuration()
-    return cfg.get("pressio:thread_safe") == ThreadSafety.MULTIPLE
 
 
 class _ParallelBase(MetaCompressor):
@@ -69,30 +64,9 @@ class _ParallelBase(MetaCompressor):
         self._nthreads = n
 
     def _map(self, fn, tasks: list) -> list:
-        """Run ``fn(worker_compressor, task)`` over tasks, parallel when safe.
-
-        When tracing is active, the submitting thread's current span is
-        carried into the pool workers (``wrap_task``) so the spans each
-        worker opens parent under this meta-compressor's operation span
-        instead of becoming orphan roots.
-        """
-        if self._nthreads == 1 or len(tasks) <= 1 or not _inner_is_reentrant(self._inner):
-            _trace.annotate(n_tasks=len(tasks), n_workers=1, parallel=False)
-            return [fn(self._inner, t) for t in tasks]
-        workers = [self._inner.clone() for _ in range(min(self._nthreads,
-                                                          len(tasks)))]
-        _trace.annotate(n_tasks=len(tasks), n_workers=len(workers),
-                        parallel=True)
-        traced_fn = _trace.wrap_task(fn)
-        results: list = [None] * len(tasks)
-        with ThreadPoolExecutor(max_workers=len(workers)) as pool:
-            futures = {
-                pool.submit(traced_fn, workers[i % len(workers)], t): i
-                for i, t in enumerate(tasks)
-            }
-            for fut, i in futures.items():
-                results[i] = fut.result()
-        return results
+        """Run ``fn(worker_compressor, task)`` over tasks on the shared
+        executor (serially unless the inner plugin is re-entrant)."""
+        return _executor.map(fn, tasks, self._nthreads, self._inner)
 
 
 @compressor_plugin("chunking")

@@ -8,12 +8,9 @@ from .api import (
     mgard_compress,
     mgard_decompress,
 )
-from .core import compress_stage1, compress_stage2
 
 __all__ = [
     "compress",
-    "compress_stage1",
-    "compress_stage2",
     "decompress",
     "mgard_compress",
     "mgard_decompress",

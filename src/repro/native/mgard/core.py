@@ -34,7 +34,7 @@ from ...encoders.quantize import dequantize_uniform, quantize_uniform
 from ...encoders.residual import decode_residuals, encode_residuals
 from .. import pool as _pool
 
-__all__ = ["compress", "compress_stage1", "compress_stage2", "decompress",
+__all__ = ["compress", "decompress",
            "MIN_DIM", "max_levels"]
 
 _MAGIC = b"MGD1"
@@ -176,13 +176,13 @@ def _level_bounds(tol: float, levels: int, s: float, ndim: int) -> list[float]:
     return [float(b) for b in bounds]
 
 
-def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
-                    backend: str = "zlib", level: int = 1) -> dict:
-    """Numpy-heavy first half: decompose + quantize straight into one
-    preallocated (pooled) code buffer, no per-piece concatenation.
+def compress(data: np.ndarray, tol: float, s: float = 0.0,
+             backend: str = "zlib", level: int = 1) -> bytes:
+    """Compress with an absolute L-infinity tolerance ``tol``.
 
-    Returns an opaque state for :func:`compress_stage2`; the state may
-    alias pooled buffers, so it must be passed to stage 2 exactly once.
+    ``s`` is the smoothness-norm parameter: 0 targets the infinity norm
+    (the only mode with a hard guarantee here); nonzero values skew the
+    per-level budgets geometrically, as MGARD's s-norms do.
     """
     arr = np.asarray(data)
     if tol <= 0:
@@ -241,40 +241,18 @@ def compress_stage1(data: np.ndarray, tol: float, s: float = 0.0,
         except BaseException:
             _pool.release(allcodes)
             raise
-    return {"allcodes": allcodes, "tol": tol, "s": s, "levels": levels,
-            "dtype": dtype, "shape": arr.shape, "backend": backend,
-            "level": level}
-
-
-def compress_stage2(state: dict) -> bytes:
-    """Entropy-code and frame the output of :func:`compress_stage1`."""
-    allcodes = state["allcodes"]
     if _trace.ACTIVE is not None:
-        span = _trace.stage("mgard:entropy", backend=state["backend"])
+        span = _trace.stage("mgard:entropy", backend=backend)
     else:
         span = nullcontext()
     with span:
         try:
-            payload = encode_residuals(allcodes, backend=state["backend"],
-                                       level=state["level"])
+            payload = encode_residuals(allcodes, backend=backend, level=level)
         finally:
             _pool.release(allcodes)
-    header = write_header(_MAGIC, state["dtype"], state["shape"],
-                          doubles=(float(state["tol"]), float(state["s"])),
-                          ints=(state["levels"],))
+    header = write_header(_MAGIC, dtype, arr.shape,
+                          doubles=(float(tol), float(s)), ints=(levels,))
     return header + payload
-
-
-def compress(data: np.ndarray, tol: float, s: float = 0.0,
-             backend: str = "zlib", level: int = 1) -> bytes:
-    """Compress with an absolute L-infinity tolerance ``tol``.
-
-    ``s`` is the smoothness-norm parameter: 0 targets the infinity norm
-    (the only mode with a hard guarantee here); nonzero values skew the
-    per-level budgets geometrically, as MGARD's s-norms do.
-    """
-    return compress_stage2(compress_stage1(data, tol, s=s, backend=backend,
-                                           level=level))
 
 
 def decompress(stream: bytes | memoryview,

@@ -17,8 +17,6 @@ from .api import (
 )
 from .core import (
     compress,
-    compress_stage1,
-    compress_stage2,
     decompress,
     effective_abs_bound,
 )
@@ -48,7 +46,7 @@ from .params import (
 )
 
 __all__ = [
-    "compress", "compress_stage1", "compress_stage2", "decompress",
+    "compress", "decompress",
     "effective_abs_bound",
     "SZ_Init", "SZ_Init_Params", "SZ_Finalize", "SZ_compress",
     "SZ_compress_args", "SZ_decompress", "SZ_is_initialized",

@@ -44,8 +44,7 @@ from .params import (
     sz_params,
 )
 
-__all__ = ["compress", "compress_stage1", "compress_stage2",
-           "decompress", "effective_abs_bound"]
+__all__ = ["compress", "decompress", "effective_abs_bound"]
 
 _MAGIC = b"SZ02"
 
@@ -153,18 +152,13 @@ def _decode_codes(entropy_kind: int, payload: bytes, dims: tuple[int, ...],
     return residuals
 
 
-def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
-    """Numpy-heavy first half of compression: bound, quantize, predict.
+def compress(data: np.ndarray, params: sz_params) -> bytes:
+    """Compress an n-d float array under ``params``; returns the stream.
 
-    Returns an opaque state dict for :func:`compress_stage2`.  The split
-    exists for the pipelined executor (:mod:`repro.meta.pipeline`):
-    stage 1 is pure array math that must run under the GIL, stage 2 is
-    dominated by zlib/bz2/lzma which release it — so stage 2 of block
-    ``i`` can overlap stage 1 of block ``i+1`` on a worker thread.
-
-    Residuals may alias buffers from :mod:`repro.native.pool`; stage 2
-    releases them, so every stage-1 state must be passed to stage 2
-    exactly once.
+    When ``params.clobberInput`` is set, the input may be used as scratch
+    space (the surprising behaviour of some real SZ versions the paper
+    calls out); the LibPressio plugin protects callers by passing a
+    read-only view.
     """
     params.validate()
     arr = np.asarray(data)
@@ -172,8 +166,7 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
         raise TypeError(f"SZ cannot compress dtype {arr.dtype}")
     dtype = dtype_from_numpy(arr.dtype)
     if params.errorBoundMode == PW_REL:
-        return {"kind": "pw_rel", "arr": arr, "dtype": dtype,
-                "params": params}
+        return _compress_pw_rel(arr, dtype, params)
 
     eb = effective_abs_bound(arr, params)
     work = arr.astype(np.float64, copy=False)
@@ -202,9 +195,20 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
         else:
             work = work - offset
     if params.predictionMode in ("regression", "adaptive"):
-        return {"kind": "regression", "work": work, "eb": eb,
-                "offset": offset, "dtype": dtype, "shape": arr.shape,
-                "params": params}
+        if _trace.ACTIVE is not None:
+            span = _trace.stage("sz:regression")
+        else:
+            span = nullcontext()
+        with span:
+            payload = compress_regression(
+                work, eb, params.predictionMode == "adaptive",
+                params.losslessCompressor, params.zlib_level())
+        header = write_header(
+            _MAGIC, dtype, arr.shape, doubles=(eb, offset),
+            ints=(_MODE_PLAIN, _ENTROPY_FAST,
+                  _PRED_IDS[params.predictionMode]),
+        )
+        return header + payload
     if _trace.ACTIVE is not None:
         span = _trace.stage("sz:quantize", bound=eb)
     else:
@@ -229,70 +233,25 @@ def compress_stage1(data: np.ndarray, params: sz_params) -> dict:
         except BaseException:
             _pool.release(codes, scratch)
             raise
-    if _trace.ACTIVE is not None:
-        span = _trace.stage("sz:predict")
-    else:
-        span = nullcontext()
-    with span:
-        try:
+    try:
+        if _trace.ACTIVE is not None:
+            span = _trace.stage("sz:predict")
+        else:
+            span = nullcontext()
+        with span:
             if params.predictionMode == "lorenzo":
                 residuals = lorenzo_encode(
                     codes, scratch=scratch, clobber=True).reshape(-1)
             else:
                 residuals = codes.reshape(-1)
-        except BaseException:
-            _pool.release(codes, scratch)
-            raise
-    return {"kind": "plain", "residuals": residuals,
-            "pooled": (codes, scratch), "eb": eb, "offset": offset,
-            "dtype": dtype, "shape": arr.shape, "params": params}
-
-
-def compress_stage2(state: dict) -> bytes:
-    """Entropy-code and frame the output of :func:`compress_stage1`."""
-    params = state["params"]
-    kind = state["kind"]
-    if kind == "pw_rel":
-        return _compress_pw_rel(state["arr"], state["dtype"], params)
-    if kind == "regression":
-        if _trace.ACTIVE is not None:
-            span = _trace.stage("sz:regression")
-        else:
-            span = nullcontext()
-        with span:
-            payload = compress_regression(
-                state["work"], state["eb"],
-                params.predictionMode == "adaptive",
-                params.losslessCompressor, params.zlib_level())
-        header = write_header(
-            _MAGIC, state["dtype"], state["shape"],
-            doubles=(state["eb"], state["offset"]),
-            ints=(_MODE_PLAIN, _ENTROPY_FAST,
-                  _PRED_IDS[params.predictionMode]),
-        )
-        return header + payload
-    try:
-        entropy_kind, payload = _entropy_encode(state["residuals"], params)
+        entropy_kind, payload = _entropy_encode(residuals, params)
     finally:
-        _pool.release(*state["pooled"])
+        _pool.release(codes, scratch)
     header = write_header(
-        _MAGIC, state["dtype"], state["shape"],
-        doubles=(state["eb"], state["offset"]),
-        ints=(_MODE_PLAIN, entropy_kind,
-              _PRED_IDS[params.predictionMode]),
+        _MAGIC, dtype, arr.shape, doubles=(eb, offset),
+        ints=(_MODE_PLAIN, entropy_kind, _PRED_IDS[params.predictionMode]),
     )
     return header + payload
-
-
-def compress(data: np.ndarray, params: sz_params) -> bytes:
-    """Compress an n-d float array under ``params``; returns the stream.
-
-    When ``params.clobberInput`` is set, the input may be used as scratch
-    space (the surprising behaviour of some real SZ versions the paper
-    calls out); the LibPressio plugin protects callers by passing a
-    read-only view.
-    """
-    return compress_stage2(compress_stage1(data, params))
 
 
 def decompress(stream: bytes | memoryview, expected_dims: tuple[int, ...] | None = None

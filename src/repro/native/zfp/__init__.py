@@ -29,13 +29,11 @@ from .core import (
     MODE_RATE,
     MODE_REVERSIBLE,
     compress,
-    compress_stage1,
-    compress_stage2,
     decompress,
 )
 
 __all__ = [
-    "compress", "compress_stage1", "compress_stage2", "decompress",
+    "compress", "decompress",
     "BLOCK_SIDE", "MODE_ACCURACY", "MODE_PRECISION", "MODE_RATE",
     "MODE_REVERSIBLE",
     "zfp_stream", "zfp_field", "zfp_stream_open", "zfp_stream_close",

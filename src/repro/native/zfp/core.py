@@ -33,7 +33,7 @@ from ...encoders.residual import decode_residuals, encode_residuals
 from ...encoders.quantize import quantize_uniform
 from .. import pool as _pool
 
-__all__ = ["compress", "compress_stage1", "compress_stage2", "decompress",
+__all__ = ["compress", "decompress",
            "MODE_ACCURACY", "MODE_PRECISION", "MODE_RATE",
            "MODE_REVERSIBLE", "BLOCK_SIDE"]
 
@@ -221,14 +221,14 @@ def _lshift(blocks: np.ndarray, shifts: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # public pipeline
 # ----------------------------------------------------------------------
-def compress_stage1(data: np.ndarray, mode: int, parameter: float,
-                    backend: str = "zlib", level: int = 1,
-                    transform: bool = True) -> dict:
-    """Numpy-heavy first half: quantize, block, transform, bitplane.
+def compress(data: np.ndarray, mode: int, parameter: float,
+             backend: str = "zlib", level: int = 1,
+             transform: bool = True) -> bytes:
+    """Compress ``data`` (C-order ndarray, 1-4 dims) under ``mode``.
 
-    Returns an opaque state for :func:`compress_stage2`; see the SZ core
-    for why the split exists.  The state may alias pooled buffers, so it
-    must be passed to stage 2 exactly once.
+    ``parameter`` is the tolerance (accuracy), bit planes (precision), or
+    bits per value (rate); ignored for reversible.  ``transform=False``
+    skips the decorrelating transform (quantize-only ablation).
     """
     arr = np.asarray(data)
     if arr.ndim < 1 or arr.ndim > 4:
@@ -243,10 +243,10 @@ def compress_stage1(data: np.ndarray, mode: int, parameter: float,
             codes = _float_to_ordered_int(arr).reshape(arr.shape)
         else:
             codes = arr.astype(np.int64)
-        residuals = lorenzo_encode(codes)
-        return {"kind": "reversible", "residuals": residuals,
-                "dtype": dtype, "shape": arr.shape,
-                "backend": backend, "level": level}
+        payload = encode_residuals(lorenzo_encode(codes).reshape(-1),
+                                   backend=backend, level=level)
+        return write_header(_MAGIC, dtype, arr.shape, doubles=(0.0, 0.0),
+                            ints=(MODE_REVERSIBLE,)) + payload
 
     values = arr.astype(np.float64, copy=False)
     d = arr.ndim
@@ -328,22 +328,7 @@ def compress_stage1(data: np.ndarray, mode: int, parameter: float,
         except BaseException:
             _pool.release(blockbuf)
             raise
-    return {"kind": "lossy", "kept": kept, "shifts": shifts,
-            "step": step, "parameter": parameter, "mode": mode,
-            "transform": transform, "dtype": dtype, "shape": arr.shape,
-            "backend": backend, "level": level}
 
-
-def compress_stage2(state: dict) -> bytes:
-    """Entropy-code and frame the output of :func:`compress_stage1`."""
-    backend = state["backend"]
-    level = state["level"]
-    if state["kind"] == "reversible":
-        payload = encode_residuals(state["residuals"].reshape(-1),
-                                   backend=backend, level=level)
-        return write_header(_MAGIC, state["dtype"], state["shape"],
-                            doubles=(0.0, 0.0),
-                            ints=(MODE_REVERSIBLE,)) + payload
     import zlib as _zlib
 
     if _trace.ACTIVE is not None:
@@ -351,35 +336,17 @@ def compress_stage2(state: dict) -> bytes:
     else:
         span = nullcontext()
     with span:
-        kept = state["kept"]
         try:
-            shift_blob = _zlib.compress(
-                state["shifts"].astype(np.uint8).tobytes(), 1)
+            shift_blob = _zlib.compress(shifts.astype(np.uint8).tobytes(), 1)
             payload = encode_residuals(kept.reshape(-1), backend=backend,
                                        level=level)
         finally:
-            _pool.release(kept)
+            _pool.release(blockbuf)
     header = write_header(
-        _MAGIC, state["dtype"], state["shape"],
-        doubles=(state["step"], float(state["parameter"])),
-        ints=(state["mode"], len(shift_blob),
-              1 if state["transform"] else 0),
+        _MAGIC, dtype, arr.shape, doubles=(step, float(parameter)),
+        ints=(mode, len(shift_blob), 1 if transform else 0),
     )
     return header + shift_blob + payload
-
-
-def compress(data: np.ndarray, mode: int, parameter: float,
-             backend: str = "zlib", level: int = 1,
-             transform: bool = True) -> bytes:
-    """Compress ``data`` (C-order ndarray, 1-4 dims) under ``mode``.
-
-    ``parameter`` is the tolerance (accuracy), bit planes (precision), or
-    bits per value (rate); ignored for reversible.  ``transform=False``
-    skips the decorrelating transform (quantize-only ablation).
-    """
-    return compress_stage2(compress_stage1(
-        data, mode, parameter, backend=backend, level=level,
-        transform=transform))
 
 
 def decompress(stream: bytes | memoryview,

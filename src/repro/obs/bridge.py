@@ -120,19 +120,16 @@ def ingest_profile(profile: dict, registry: MetricsRegistry | None = None
 
 
 def ingest_runtime(registry: MetricsRegistry | None = None) -> int:
-    """Refresh runtime gauges from the buffer pool and pipelined executor.
+    """Refresh the buffer-pool gauges.
 
     Exposes the :mod:`repro.native.pool` hit/miss/return counters (see
-    its module docstring) and the :mod:`repro.meta.pipeline` in-flight
-    depth, so a scrape shows whether the native cores are recycling
-    scratch and whether a pipelined compress is currently overlapped.
-    Returns the number of gauges refreshed (0 when no registry is active
-    and none was passed).
+    its module docstring), so a scrape shows whether the native cores
+    are recycling scratch.  Returns the number of gauges refreshed (0
+    when no registry is active and none was passed).
     """
     reg = _target(registry)
     if reg is None:
         return 0
-    from ..meta import pipeline as _pipeline
     from ..native import pool as _pool
 
     pool_stats = _pool.stats()
@@ -149,15 +146,6 @@ def ingest_runtime(registry: MetricsRegistry | None = None) -> int:
         ("pressio_pool_bytes",
          "bytes parked on this thread's pool free lists",
          pool_stats["pooled_bytes"]),
-        ("pressio_pipeline_inflight",
-         "stage-2 tasks queued or running in pipelined compressors",
-         _pipeline.inflight),
-        ("pressio_pipeline_inflight_peak",
-         "high-water mark of in-flight pipelined stage-2 tasks",
-         _pipeline.peak_inflight),
-        ("pressio_pipeline_chunks_total",
-         "chunks entropy-coded by pipelined stage-2 workers",
-         _pipeline.stage2_total),
     )
     for name, help_text, value in values:
         reg.gauge(name, help_text).set(float(value))

@@ -12,19 +12,20 @@ When enabled — programmatically via :func:`enable`, through
   recognizable garbage; releasing the same backing store twice is
   reported with both release stacks instead of silently aliasing two
   later acquires;
-* **locks** (:data:`repro.meta.pipeline._stats_lock`, the
-  :mod:`repro.obs.registry` family/registry locks, and anything wrapped
-  explicitly with :func:`wrap_lock`): every acquisition extends a
-  runtime lock-order graph; taking B under A after some path took A
-  under B is reported as an inversion carrying **both** stacks — the
-  dynamic shadow of the static ``LK002`` rule;
+* **locks** (the :mod:`repro.obs.registry` family/registry locks, and
+  anything wrapped explicitly with :func:`wrap_lock`): every acquisition
+  extends a runtime lock-order graph; taking B under A after some path
+  took A under B is reported as an inversion carrying **both** stacks —
+  the dynamic shadow of the static ``LK002`` rule;
 * **compressor inputs**: ``PressioCompressor._compress_op`` is wrapped
   to checksum the input buffer before and after the operation, so a
   plugin mutating its caller's array in place (input aliasing) is
   caught at the operation that did it;
 * **threads**: :func:`enable` snapshots the live threads;
   :func:`report` flags any non-daemon thread started since that is
-  still alive (an unjoined worker) at teardown.
+  still alive (an unjoined worker) at teardown.  The shared executor's
+  threads (:mod:`repro.meta.executor`) live for the process by design
+  and are exempt.
 
 Everything is installed by monkeypatching at :func:`enable` and fully
 restored by :func:`disable`, so the sanitizer-off hot path is exactly
@@ -297,15 +298,10 @@ def _install_pool(state: _SanitizerState) -> None:
 # lock instrumentation
 # ---------------------------------------------------------------------------
 def _install_locks(state: _SanitizerState) -> None:
-    from ..meta import pipeline as _pipeline
     from ..obs import registry as _registry
     from ..obs import runtime as _obs_runtime
 
     graph = state.lock_graph
-
-    orig_stats_lock = _pipeline._stats_lock
-    _pipeline._stats_lock = SanitizedLock(
-        orig_stats_lock, "meta.pipeline:_stats_lock", graph)
 
     orig_family_init = _registry.MetricFamily.__init__
     orig_registry_init = _registry.MetricsRegistry.__init__
@@ -325,13 +321,12 @@ def _install_locks(state: _SanitizerState) -> None:
 
     wrapped_existing: list[tuple[Any, Any]] = []
     active = _obs_runtime.ACTIVE
-    if active is not None and isinstance(active._lock, type(orig_stats_lock)):
+    if active is not None and isinstance(active._lock, type(threading.Lock())):
         wrapped_existing.append((active, active._lock))
         active._lock = SanitizedLock(
             active._lock, "obs.registry:MetricsRegistry._lock", graph)
 
     def restore() -> None:
-        _pipeline._stats_lock = orig_stats_lock
         _registry.MetricFamily.__init__ = orig_family_init
         _registry.MetricsRegistry.__init__ = orig_registry_init
         for owner, lock in wrapped_existing:
@@ -416,8 +411,12 @@ def disable() -> list[dict]:
 
 
 def _check_threads(state: _SanitizerState) -> None:
+    from ..meta.executor import THREAD_NAME_PREFIX
+
     for t in threading.enumerate():
         if t.ident in state.thread_baseline or t.daemon or not t.is_alive():
+            continue
+        if t.name.startswith(THREAD_NAME_PREFIX):
             continue
         if t.ident in state.reported_threads:
             continue

@@ -2,7 +2,7 @@
 
 Like ``top(1)`` for a pressio process: a refreshing table of
 per-compressor throughput, operation rates, last compression ratio,
-and error counts, plus the buffer-pool and pipeline gauges and the
+and error counts, plus the buffer-pool gauges and the
 flight-recorder status.  Two data sources, one rendering path:
 
 * **in-process** (default) — the ambient :mod:`repro.obs` registry,
@@ -148,7 +148,6 @@ class TopFrame:
     at: float
     rows: list[CompressorRow] = field(default_factory=list)
     pool: dict[str, float] = field(default_factory=dict)
-    pipeline: dict[str, float] = field(default_factory=dict)
     active_spans: int | None = None
     flight: str = "n/a"
     quality_count: float | None = None
@@ -205,12 +204,6 @@ def compute_frame(doc: ParsedExposition,
         value = _scalar(doc, gauge)
         if value is not None:
             frame.pool[key] = value
-    for gauge, key in (("pressio_pipeline_inflight", "inflight"),
-                       ("pressio_pipeline_inflight_peak", "peak"),
-                       ("pressio_pipeline_chunks_total", "chunks")):
-        value = _scalar(doc, gauge)
-        if value is not None:
-            frame.pipeline[key] = value
     frame.quality_count = _scalar(doc, "pressio_quality_ratio_count")
     return frame
 
@@ -256,11 +249,6 @@ def render_frame(frame: TopFrame, ansi: bool = True) -> str:
             "pool: " + _fmt_bytes(frame.pool.get("bytes", 0.0))
             + f" held, {frame.pool.get('hits', 0):.0f} hits"
             + f"/{frame.pool.get('misses', 0):.0f} misses")
-    if frame.pipeline:
-        extras.append(
-            f"pipeline: {frame.pipeline.get('inflight', 0):.0f} inflight"
-            f" (peak {frame.pipeline.get('peak', 0):.0f}),"
-            f" {frame.pipeline.get('chunks', 0):.0f} chunks")
     if frame.quality_count is not None:
         extras.append(f"quality samples: {frame.quality_count:.0f}")
     if extras:

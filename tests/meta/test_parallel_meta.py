@@ -1,6 +1,8 @@
 """Tests for chunking, many_independent, many_dependent, switch, opt,
 and the injectors."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -64,14 +66,14 @@ class TestSerialDegradation:
 
     @pytest.fixture()
     def no_pool(self, monkeypatch):
-        """Make any worker-pool spawn in repro.meta.parallel an error."""
-        from repro.meta import parallel as parallel_mod
+        """Make any submission to the shared worker pool an error."""
+        from repro.meta import executor
 
         def forbidden(*args, **kwargs):
             raise AssertionError(
-                "ThreadPoolExecutor spawned for a single-thread-safe inner")
+                "worker pool reached for a single-thread-safe inner")
 
-        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(executor, "submit", forbidden)
 
     def _chunking(self, library, nthreads):
         c = library.get_compressor("chunking")
@@ -121,17 +123,16 @@ class TestSerialDegradation:
                                                 monkeypatch):
         """Control: the degradation path must not swallow re-entrant
         inners — zfp with several chunks must reach the pool."""
-        from repro.meta import parallel as parallel_mod
+        from repro.meta import executor
 
         spawned = []
-        real = parallel_mod.ThreadPoolExecutor
+        real = executor.submit
 
         def recording(*args, **kwargs):
-            spawned.append(kwargs.get("max_workers", args[0] if args
-                                      else None))
+            spawned.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(parallel_mod, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(executor, "submit", recording)
         c = library.get_compressor("chunking")
         c.set_options({"chunking:compressor": "zfp",
                        "chunking:chunk_size": 1024,
@@ -385,3 +386,106 @@ class TestManyIndependentProcessMode:
     def test_bad_mode_rejected(self, library):
         m = library.get_compressor("many_independent")
         assert m.set_options({"many_independent:mode": "gpu"}) != 0
+
+
+def _within(seconds, fn):
+    """fn() on a daemon thread; fails instead of hanging on a deadlock."""
+    import threading
+
+    box = {}
+
+    def run():
+        try:
+            box["value"] = fn()
+        except BaseException as e:  # noqa: BLE001 - re-raised below
+            box["error"] = e
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"did not finish within {seconds} s"
+    if "error" in box:
+        raise box["error"]
+    return box["value"]
+
+
+class TestSharedExecutor:
+    """Nested parallel metas and forked children on the one shared pool."""
+
+    OVERSUBSCRIBED = 2 * (os.cpu_count() or 1) + 1
+
+    def _chunking_over_sz_omp(self, library, outer, data):
+        c = library.get_compressor("chunking")
+        assert c.set_options({"chunking:compressor": "sz_omp",
+                              "chunking:chunk_size": 4096,
+                              "chunking:nthreads": outer,
+                              "sz_omp:nthreads": self.OVERSUBSCRIBED,
+                              "pressio:abs": 1e-4}) == 0
+        return c.compress(data).to_bytes()
+
+    def test_chunking_over_sz_omp_nested(self, library, smooth3d):
+        data = PressioData.from_numpy(smooth3d)
+        serial = self._chunking_over_sz_omp(library, 1, data)
+        nested = _within(60, lambda: self._chunking_over_sz_omp(
+            library, self.OVERSUBSCRIBED, data))
+        assert nested == serial
+
+    def _many_over_chunking(self, library, outer, inputs):
+        m = library.get_compressor("many_independent")
+        assert m.set_options({"many_independent:compressor": "chunking",
+                              "many_independent:nthreads": outer,
+                              "chunking:compressor": "zfp",
+                              "chunking:chunk_size": 2048,
+                              "chunking:nthreads": self.OVERSUBSCRIBED,
+                              "zfp:accuracy": 1e-4}) == 0
+        return [s.to_bytes() for s in m.compress_many(inputs)]
+
+    def test_many_independent_over_chunking_nested(self, library, smooth3d):
+        inputs = [PressioData.from_numpy(smooth3d * (k + 1))
+                  for k in range(5)]
+        serial = self._many_over_chunking(library, 1, inputs)
+        nested = _within(60, lambda: self._many_over_chunking(
+            library, self.OVERSUBSCRIBED, inputs))
+        assert nested == serial
+
+    def test_forked_child_rebuilds_the_pool(self, library, smooth3d):
+        import select
+        import signal
+
+        c = library.get_compressor("chunking")
+        assert c.set_options({"chunking:compressor": "zfp",
+                              "chunking:chunk_size": 1024,
+                              "chunking:nthreads": 4,
+                              "zfp:accuracy": 1e-4}) == 0
+        data = PressioData.from_numpy(smooth3d)
+        parent = c.compress(data).to_bytes()  # warms the shared pool
+        read_fd, write_fd = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report the stream, never return to pytest
+            code = 1
+            try:
+                os.close(read_fd)
+                blob = c.compress(data).to_bytes()
+                with os.fdopen(write_fd, "wb") as out:
+                    out.write(blob)
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write_fd)
+        chunks = []
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                while True:
+                    ready, _, _ = select.select([pipe], [], [], 60)
+                    assert ready, "forked child hung on the shared pool"
+                    chunk = os.read(pipe.fileno(), 1 << 16)
+                    if not chunk:
+                        break
+                    chunks.append(chunk)
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            _, status = os.waitpid(pid, 0)
+        assert status == 0
+        assert b"".join(chunks) == parent

@@ -84,7 +84,7 @@ def test_threaded_churn_keeps_counters_and_gauges_consistent():
     # all threads joined, so the gauges must reproduce the counters bit
     # for bit on the next scrape
     reg = obs.MetricsRegistry()
-    assert bridge.ingest_runtime(reg) == 7
+    assert bridge.ingest_runtime(reg) == 4
     assert reg.get("pressio_pool_hits_total").value == stats["hits"]
     assert reg.get("pressio_pool_misses_total").value == stats["misses"]
     assert reg.get("pressio_pool_returns_total").value == stats["returned"]

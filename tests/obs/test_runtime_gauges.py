@@ -1,9 +1,8 @@
-"""Buffer-pool and pipelined-executor gauges on the /metrics endpoint.
+"""Buffer-pool gauges on the /metrics endpoint.
 
-``ingest_runtime`` bridges the :mod:`repro.native.pool` counters and the
-:mod:`repro.meta.pipeline` in-flight depth into the registry; the server
-refreshes them on every scrape, so a dashboard can watch scratch-buffer
-recycling and pipeline overlap without any code changes in the app.
+``ingest_runtime`` bridges the :mod:`repro.native.pool` counters into
+the registry; the server refreshes them on every scrape, so a dashboard
+can watch scratch-buffer recycling without any code changes in the app.
 """
 
 import urllib.request
@@ -12,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro import PressioData, obs
-from repro.meta import pipeline as pipeline_mod
 from repro.native import pool
 from repro.obs import bridge
 
@@ -36,22 +34,20 @@ def server():
     srv.stop()
 
 
-def test_ingest_runtime_refreshes_pool_and_pipeline_gauges(library):
+def test_ingest_runtime_refreshes_pool_gauges(library):
     reg = obs.MetricsRegistry()
     pool.reset_stats()
-    pipeline_mod.reset_stats()
     comp = library.get_compressor("sz")
     assert comp.set_options({"pressio:abs": 1e-4}) == 0
     comp.compress(PressioData.from_numpy(
         np.random.default_rng(5).random((16, 16, 16))))
 
-    assert bridge.ingest_runtime(reg) == 7
+    assert bridge.ingest_runtime(reg) == 4
     stats = pool.stats()
     assert stats["hits"] + stats["misses"] > 0
     assert reg.get("pressio_pool_hits_total").value == stats["hits"]
     assert reg.get("pressio_pool_misses_total").value == stats["misses"]
     assert reg.get("pressio_pool_returns_total").value == stats["returned"]
-    assert reg.get("pressio_pipeline_inflight").value == 0
 
 
 def test_ingest_runtime_without_registry_is_noop():
@@ -62,22 +58,13 @@ def test_ingest_runtime_without_registry_is_noop():
 def test_metrics_endpoint_serves_runtime_gauges(server, library):
     pool.reset_stats()
     pool.clear()  # cold pool: the first acquires must register as misses
-    pipeline_mod.reset_stats()
-    # zfp's stage 1 recycles its lift temps on the calling thread, so
-    # pool hits accrue even though stage 2 releases on the worker
-    pipe = library.get_compressor("pipelined")
-    pipe.set_inner("zfp")
-    assert pipe.set_options({"pressio:abs": 1e-4,
-                             "pipelined:chunk_size": 1024}) == 0
-    data = PressioData.from_numpy(
-        np.random.default_rng(7).random((16, 16, 16)))
-    pipe.compress(data)
+    # zfp recycles its lift temps within one compress on the calling
+    # thread, so pool hits accrue from a single operation
+    comp = library.get_compressor("zfp")
+    assert comp.set_options({"pressio:abs": 1e-4}) == 0
+    comp.compress(PressioData.from_numpy(
+        np.random.default_rng(7).random((16, 16, 16))))
 
     body = get(f"{server.url}/metrics")
     assert value(body, "pressio_pool_hits_total") > 0
     assert value(body, "pressio_pool_misses_total") > 0
-    # the scrape happens between operations, so the instantaneous depth
-    # is zero — but the series exists and the peak proves overlap ran
-    assert value(body, "pressio_pipeline_inflight") == 0
-    assert value(body, "pressio_pipeline_inflight_peak") >= 1
-    assert value(body, "pressio_pipeline_chunks_total") == 4

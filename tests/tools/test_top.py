@@ -32,7 +32,6 @@ pressio_processed_bytes_total{direction="out",plugin="sz"} 90000
 pressio_last_compression_ratio{plugin="sz"} 3.7
 pressio_errors_total{operation="decompress",plugin="zfp",etype="E"} 1
 pressio_pool_bytes 2048
-pressio_pipeline_inflight 3
 pressio_quality_ratio_count{compressor="sz"} 7
 """
 
@@ -70,7 +69,6 @@ class TestComputeFrame:
         assert frame.total_ops == 24 and frame.total_errors == 1
         assert all(r.ops_per_s == 0.0 for r in frame.rows)
         assert frame.pool == {"bytes": 2048.0}
-        assert frame.pipeline == {"inflight": 3.0}
         assert frame.quality_count == 7.0
 
     def test_rates_are_deltas_over_elapsed(self):

@@ -111,6 +111,21 @@ class TestPipelineSpanTree:
         assert len({w.thread_id for w in workers}) > 1
         assert any(w.thread_id != root.thread_id for w in workers)
 
+    def test_sz_omp_slab_spans_parent_under_compress(self, library):
+        comp = library.get_compressor("sz_omp")
+        assert comp.set_options({"sz_omp:nthreads": 2,
+                                 "pressio:abs": 1e-4}) == 0
+        field = np.random.default_rng(3).standard_normal(32 ** 3).cumsum()
+        with tracing() as trace:
+            comp.compress(PressioData.from_numpy(field.reshape(32, 32, 32)))
+        roots = trace.roots()
+        assert [s.name for s in roots] == ["compress"]
+        assert roots[0].attrs["parallel"] is True
+        stages = [s for s in trace.spans() if s.name.startswith("sz:")]
+        assert {s.name for s in stages} >= {"sz:quantize", "sz:predict",
+                                            "sz:entropy"}
+        assert any(s.thread_id != roots[0].thread_id for s in stages)
+
     def test_transform_stage_spans_nested(self, library, smooth3d):
         comp = library.get_compressor("transpose")
         assert comp.set_options({"transpose:compressor": "sz",
