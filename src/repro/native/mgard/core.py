@@ -245,9 +245,12 @@ def compress(data: np.ndarray, tol: float, s: float = 0.0,
         span = _trace.stage("mgard:entropy", backend=backend)
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         try:
             payload = encode_residuals(allcodes, backend=backend, level=level)
+            if sp is not None:
+                sp.attrs.update(input_bytes=allcodes.nbytes,
+                                output_bytes=len(payload))
         finally:
             _pool.release(allcodes)
     header = write_header(_MAGIC, dtype, arr.shape,
@@ -276,8 +279,11 @@ def decompress(stream: bytes | memoryview,
         span = _trace.stage("mgard:entropy")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         allcodes = decode_residuals(bytes(memoryview(stream)[pos:]))
+        if sp is not None:
+            sp.attrs.update(input_bytes=len(stream) - pos,
+                            output_bytes=allcodes.nbytes)
     # replay the decomposition shape computation to slice the code buffer
     details_shapes: list[list[tuple[int, ...]]] = []
     cur = list(dims)
@@ -320,10 +326,13 @@ def decompress(stream: bytes | memoryview,
         raise CorruptStreamError(
             f"payload holds {allcodes.size} codes, expected {offset + n_coarse}"
         )
+    # the details are dequantized into fresh arrays already, so the
+    # coarse codes may be reconstructed in the decoded buffer itself
     coarse_codes = lorenzo_decode(
-        allcodes[offset:offset + n_coarse].reshape(coarse_shape)
-    )
+        allcodes[offset:offset + n_coarse].reshape(coarse_shape),
+        clobber=True)
     coarse = dequantize_uniform(coarse_codes, bounds[-1])
+    _pool.release(allcodes)
     if _trace.ACTIVE is not None:
         span = _trace.stage("mgard:reconstruct")
     else:

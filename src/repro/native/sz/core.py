@@ -92,17 +92,23 @@ def _entropy_encode(residuals: np.ndarray,
         span = _trace.stage("sz:entropy", coder=params.entropyCoder)
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
+        kind = _ENTROPY_FAST
+        payload = None
         if params.entropyCoder == "huffman":
             from ...encoders.zigzag import zigzag_encode
 
             zz = zigzag_encode(residuals)
             if zz.size and int(zz.max()) < 2**20:
-                return _ENTROPY_HUFFMAN, huffman_encode(zz)
-        return _ENTROPY_FAST, encode_residuals(
-            residuals, backend=params.losslessCompressor,
-            level=params.zlib_level()
-        )
+                kind, payload = _ENTROPY_HUFFMAN, huffman_encode(zz)
+        if payload is None:
+            payload = encode_residuals(
+                residuals, backend=params.losslessCompressor,
+                level=params.zlib_level())
+        if sp is not None:
+            sp.attrs.update(input_bytes=residuals.nbytes,
+                            output_bytes=len(payload))
+    return kind, payload
 
 
 def _encode_codes(codes: np.ndarray, params: sz_params) -> tuple[int, bytes]:
@@ -110,21 +116,29 @@ def _encode_codes(codes: np.ndarray, params: sz_params) -> tuple[int, bytes]:
         span = _trace.stage("sz:predict")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         residuals = (
             lorenzo_encode(codes) if params.predictionMode == "lorenzo"
             else codes
         ).reshape(-1)
+        if sp is not None:
+            sp.attrs.update(input_bytes=codes.nbytes,
+                            output_bytes=residuals.nbytes)
     return _entropy_encode(residuals, params)
 
 
 def _decode_codes(entropy_kind: int, payload: bytes, dims: tuple[int, ...],
                   prediction: str) -> np.ndarray:
+    """Entropy-decode and un-predict the quantized codes.
+
+    pool-ownership: caller — the codes may live in the pooled buffer
+    :func:`decode_residuals` returned; release them after dequantizing.
+    """
     if _trace.ACTIVE is not None:
         span = _trace.stage("sz:entropy")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         if entropy_kind == _ENTROPY_HUFFMAN:
             from ...encoders.zigzag import zigzag_decode
 
@@ -134,6 +148,9 @@ def _decode_codes(entropy_kind: int, payload: bytes, dims: tuple[int, ...],
         else:
             raise CorruptStreamError(
                 f"unknown entropy coder id {entropy_kind}")
+        if sp is not None:
+            sp.attrs.update(input_bytes=len(payload),
+                            output_bytes=residuals.nbytes)
     expected = int(np.prod(dims, dtype=np.int64))
     if residuals.size != expected:
         raise CorruptStreamError(
@@ -145,7 +162,10 @@ def _decode_codes(entropy_kind: int, payload: bytes, dims: tuple[int, ...],
             span = _trace.stage("sz:predict")
         else:
             span = nullcontext()
-        with span:
+        with span as sp:
+            if sp is not None:
+                sp.attrs.update(input_bytes=residuals.nbytes,
+                                output_bytes=residuals.nbytes)
             # the residual buffer came straight off the entropy decoder,
             # so it is ours to overwrite
             return lorenzo_decode(residuals, clobber=True)
@@ -238,7 +258,10 @@ def compress(data: np.ndarray, params: sz_params) -> bytes:
             span = _trace.stage("sz:predict")
         else:
             span = nullcontext()
-        with span:
+        with span as sp:
+            if sp is not None:
+                sp.attrs.update(input_bytes=codes.nbytes,
+                                output_bytes=codes.nbytes)
             if params.predictionMode == "lorenzo":
                 residuals = lorenzo_encode(
                     codes, scratch=scratch, clobber=True).reshape(-1)
@@ -288,6 +311,7 @@ def decompress(stream: bytes | memoryview, expected_dims: tuple[int, ...] | None
     with span:
         out = dequantize_uniform(
             codes, eb, dtype=np.dtype(np.float64)) + offset
+    _pool.release(codes)
     np_dtype = dtype_to_numpy(dtype)
     if np_dtype.kind in "iu":
         return np.rint(out).astype(np_dtype)
@@ -351,6 +375,7 @@ def _decompress_pw_rel(dtype: DType, dims: tuple[int, ...],
     ).astype(bool)
     codes = _decode_codes(entropy_kind, body, dims, prediction)
     logs = dequantize_uniform(codes, log_bound).reshape(-1)
+    _pool.release(codes)
     out = np.exp(logs)
     out[sign_bits] = -out[sign_bits]
     out[zero_bits] = 0.0

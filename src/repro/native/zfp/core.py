@@ -335,11 +335,14 @@ def compress(data: np.ndarray, mode: int, parameter: float,
         span = _trace.stage("zfp:entropy", backend=backend)
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         try:
             shift_blob = _zlib.compress(shifts.astype(np.uint8).tobytes(), 1)
             payload = encode_residuals(kept.reshape(-1), backend=backend,
                                        level=level)
+            if sp is not None:
+                sp.attrs.update(input_bytes=kept.nbytes + shifts.size,
+                                output_bytes=len(shift_blob) + len(payload))
         finally:
             _pool.release(blockbuf)
     header = write_header(
@@ -374,7 +377,7 @@ def decompress(stream: bytes | memoryview,
         span = _trace.stage("zfp:entropy")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         shifts = np.frombuffer(
             _zlib.decompress(bytes(view[pos:pos + shift_len])), dtype=np.uint8
         ).astype(np.int64)
@@ -382,6 +385,9 @@ def decompress(stream: bytes | memoryview,
             raise CorruptStreamError("shift table does not match block count")
         d = len(dims)
         kept = decode_residuals(bytes(view[pos + shift_len:]))
+        if sp is not None:
+            sp.attrs.update(input_bytes=len(view) - pos,
+                            output_bytes=kept.nbytes + shifts.size)
     expected = nblocks * BLOCK_SIDE**d
     if kept.size != expected:
         raise CorruptStreamError(
@@ -406,6 +412,8 @@ def decompress(stream: bytes | memoryview,
         span = nullcontext()
     with span:
         out = codes.astype(np.float64) * (2.0 * step)
+    # ``codes`` may be a view of the pooled coefficient buffer
+    _pool.release(kept)
     if np_dtype.kind in "iu":
         return np.rint(out).astype(np_dtype)
     return out.astype(np_dtype)
@@ -444,5 +452,8 @@ def _decompress_reversible(payload: bytes, dims: tuple[int, ...],
     residuals = decode_residuals(payload).reshape(dims)
     codes = lorenzo_decode(residuals, clobber=True)
     if np_dtype.kind == "f":
-        return _ordered_int_to_float(codes.reshape(-1), np_dtype).reshape(dims)
-    return codes.astype(np_dtype)
+        out = _ordered_int_to_float(codes.reshape(-1), np_dtype).reshape(dims)
+    else:
+        out = codes.astype(np_dtype)
+    _pool.release(residuals)
+    return out

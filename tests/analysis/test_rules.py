@@ -66,7 +66,7 @@ def test_no_false_positives_on_repaired_tree():
     assert kept == [], [f"{f.location()}: {f.rule_id}" for f in kept]
     assert all(f.rule_id == "HP004"
                and f.path.endswith("_reference.py") for f in findings)
-    assert suppressed == len(findings) == 5
+    assert suppressed == len(findings) == 6
 
 
 def test_guarded_sites_in_fixture_stay_clean():

@@ -96,3 +96,28 @@ class TestDispatch:
         b.write_text(json.dumps(make_profile(slow)))
         assert run(["profile", "--diff", str(a), str(b)]) == 0
         assert "primary attribution" in capsys.readouterr().out
+
+
+class TestLeafStageBytes:
+    """Leaf codec stages stamp their bytes, so the profile prints MB/s."""
+
+    @pytest.mark.parametrize("compressor,stages", [
+        ("sz", ("sz:entropy", "sz:predict")),
+        ("zfp", ("zfp:entropy",)),
+        ("mgard", ("mgard:entropy",)),
+    ])
+    def test_stage_rows_carry_bytes(self, tmp_path, capsys, compressor,
+                                    stages):
+        json_path = tmp_path / "p.json"
+        rc = run_profile(["--compressor", compressor, "--synthetic", "nyx",
+                          "--dims", "32,32,32", "--option",
+                          "pressio:abs=1e-4", "--reps", "1", "--no-sample",
+                          "--no-alloc", "--json", str(json_path)])
+        assert rc == 0
+        rows = {r["path"]: r for r in
+                json.loads(json_path.read_text())["stages"]}
+        for op in ("compress", "decompress"):
+            for stage in stages:
+                row = rows[f"{op}[{compressor}]/{stage}"]
+                assert row["bytes_in"] > 0 and row["bytes_out"] > 0
+                assert row["bytes_per_s"] > 0

@@ -24,14 +24,23 @@ from repro.encoders import (
     zigzag_encode,
 )
 from repro.encoders._reference import (
+    _decode_bitpack_reference,
     _decode_dequantize_reference,
     _decode_lorenzo_reference,
     _decode_zigzag_reference,
+    _encode_bitpack_reference,
     _encode_lorenzo_reference,
     _encode_quantize_reference,
     _encode_zigzag_reference,
 )
 from repro.encoders.huffman import HuffmanCodec, huffman_decode
+from repro.encoders.residual import (
+    _BITLEN8,
+    _bitpack_chunks,
+    _bitunpack_chunks,
+    decode_residuals,
+    encode_residuals,
+)
 
 degenerate_shapes = st.sampled_from(
     [(1,), (1, 1), (1, 1, 1), (1, 5), (5, 1), (1, 5, 1), (3, 1, 4)])
@@ -122,12 +131,118 @@ def test_lorenzo_parity_with_wraparound(arr):
             == _decode_lorenzo_reference(ref).tobytes())
 
 
+@given(hnp.arrays(dtype=np.int64, shape=shapes,
+                  elements=st.one_of(int64_extremes,
+                                     st.integers(-2 ** 40, 2 ** 40))))
+@settings(max_examples=40, deadline=None)
+def test_lorenzo_running_add_path_parity(arr):
+    """With the hyperplane cutoff at one element, every non-last axis is
+    reconstructed by running hyperplane adds instead of ``np.cumsum``."""
+    from repro.encoders import predictors
+
+    saved = predictors._RUNNING_ADD_BYTES
+    predictors._RUNNING_ADD_BYTES = 8
+    try:
+        fast = lorenzo_decode(lorenzo_encode(arr))
+    finally:
+        predictors._RUNNING_ADD_BYTES = saved
+    assert fast.tobytes() == arr.tobytes()
+    assert (fast.tobytes() == _decode_lorenzo_reference(
+        _encode_lorenzo_reference(arr)).tobytes())
+
+
+@pytest.mark.parametrize("shape", [(3, 4096), (2, 5, 4096), (66, 64, 64)])
+def test_lorenzo_decode_large_hyperplanes_match_cumsum(shape):
+    """At sizes where the running adds are taken, decode equals the
+    plain per-axis cumsum composition, wrap-around included."""
+    rng = np.random.default_rng(2)
+    res = rng.integers(-2 ** 63, 2 ** 63 - 1, shape, dtype=np.int64,
+                       endpoint=True)
+    want = res.view(np.uint64).copy()
+    for axis in range(want.ndim - 1, -1, -1):
+        np.cumsum(want, axis=axis, dtype=np.uint64, out=want)
+    assert lorenzo_decode(res).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("shape", [(1,), (1, 1), (1, 5, 1), (2, 3, 4)])
 def test_lorenzo_parity_degenerate_dims(shape):
     rng = np.random.default_rng(1)
     arr = rng.integers(-1000, 1000, shape, dtype=np.int64)
     assert (lorenzo_encode(arr).tobytes()
             == _encode_lorenzo_reference(arr).tobytes())
+
+
+# -- bitpack ----------------------------------------------------------------
+
+@st.composite
+def bitpack_planes(draw):
+    """A uint8 plane whose 32-value chunks have drawn widths 0..8."""
+    n = draw(st.integers(1, 700))
+    widths = draw(st.lists(st.integers(0, 8), min_size=-(-n // 32),
+                           max_size=-(-n // 32)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mask = (1 << np.repeat(np.array(widths), 32)[:n]) - 1
+    return (rng.integers(0, 256, n) & mask).astype(np.uint8)
+
+
+def _bitpack(plane: np.ndarray) -> bytes:
+    nchunks = -(-plane.size // 32)
+    padded = np.zeros(nchunks * 32, dtype=np.uint8)
+    padded[:plane.size] = plane
+    widths = _BITLEN8[padded.reshape(nchunks, 32).max(axis=1)]
+    return _bitpack_chunks(padded, nchunks, widths)
+
+
+def _bitunpack(body: bytes, n: int) -> np.ndarray:
+    out = np.empty(n, dtype=np.uint8)
+    _bitunpack_chunks(memoryview(body), n, out)
+    return out
+
+
+@given(bitpack_planes())
+@settings(max_examples=60, deadline=None)
+def test_bitpack_parity(plane):
+    fast = _bitpack(plane)
+    assert fast == _encode_bitpack_reference(plane)
+    assert _bitunpack(fast, plane.size).tobytes() == plane.tobytes()
+    assert (_decode_bitpack_reference(fast, plane.size).tobytes()
+            == plane.tobytes())
+
+
+def _corrupt(body: bytes, how: str) -> bytes:
+    if how == "short":
+        return body[:-1]
+    if how == "long":
+        return body + b"\x00"
+    # a width nibble 9..15 in the first chunk's slot
+    return bytes([int(how) << 4 | body[0] & 0x0F]) + body[1:]
+
+
+_CORRUPTIONS = [str(w) for w in range(9, 16)] + ["short", "long"]
+
+
+@pytest.mark.parametrize("how", _CORRUPTIONS)
+def test_bitpack_corruption_raises_in_kernel_and_reference(how):
+    plane = (np.arange(100) % 7 + 1).astype(np.uint8)
+    bad = _corrupt(_bitpack(plane), how)
+    match = "width > 8" if how.isdigit() else "size mismatch"
+    with pytest.raises(ValueError, match=match):
+        _bitunpack(bad, plane.size)
+    with pytest.raises(ValueError, match=match):
+        _decode_bitpack_reference(bad, plane.size)
+
+
+@pytest.mark.parametrize("how", _CORRUPTIONS)
+def test_bitpack_corruption_raises_through_residual_stream(how):
+    """A corrupted BITPACK plane inside a well-framed RZC2 stream never
+    decodes silently: the plane length is rewritten to match the body."""
+    codes = (np.arange(4096) % 7 + 1).astype(np.int64)
+    stream = encode_residuals(codes, backend="none")
+    assert stream[:4] == b"RZC2" and stream[12] == 1 and stream[14] == 3
+    body = _corrupt(stream[23:], how)
+    bad = stream[:15] + np.uint64(len(body)).tobytes() + body
+    with pytest.raises(ValueError, match="corrupt residual stream"):
+        decode_residuals(bad)
 
 
 # -- huffman ----------------------------------------------------------------
