@@ -3,47 +3,48 @@
 :meth:`repro.core.compressor.PressioCompressor.compress` must stay
 zero-cost when nothing is watching: the paper's Fig. 3 overhead numbers
 are pinned by ``tests/trace/test_overhead.py`` to within 1 % of the
-unguarded operation bodies.  With two observer subsystems (the tracer
-in :mod:`repro.trace.runtime` and the metrics registry in
-:mod:`repro.obs.runtime`) a naive guard would read two module globals
-per call; instead both runtimes report state changes here and the hot
-path reads the single ``ANY`` flag — the same one-global-read guard the
-tracer alone needed.
+unguarded operation bodies.  Three observers can watch an operation —
+the tracer (:mod:`repro.trace.runtime`, on while any process-wide or
+request-scoped tracer is open), the metrics registry
+(:mod:`repro.obs.runtime`) and the flight recorder
+(:mod:`repro.obs.flight`).  Each reports its state through the one
+setter, :func:`set_active`, and the hot path reads the single ``ANY``
+flag: one module-global read however many observers exist.
 
-This module must stay import-free so either runtime can import it
-without cycles.
+This module imports only the standard library so every runtime can
+import it without cycles.
 """
 
 from __future__ import annotations
 
-__all__ = ["ANY", "set_tracer_active", "set_registry_active",
-           "set_flight_active"]
+import os
+import threading
 
-#: True when a tracer, a metrics registry, or a flight recorder is
-#: active.  Read-only for everyone except the three setters below.
+__all__ = ["ANY", "set_active"]
+
+#: True while any observer is on.  Written only by :func:`set_active`.
 ANY: bool = False
 
-_TRACER_ON = False
-_REGISTRY_ON = False
-_FLIGHT_ON = False
+_ON: set[str] = set()
+_lock = threading.Lock()
 
 
-def set_tracer_active(on: bool) -> None:
-    """Called by :mod:`repro.trace.runtime` on every ACTIVE change."""
-    global _TRACER_ON, ANY
-    _TRACER_ON = on
-    ANY = on or _REGISTRY_ON or _FLIGHT_ON
+def _fresh_lock() -> None:
+    # a fork() may copy the lock held by a thread that does not exist
+    # in the child
+    global _lock
+    _lock = threading.Lock()
 
 
-def set_registry_active(on: bool) -> None:
-    """Called by :mod:`repro.obs.runtime` on every ACTIVE change."""
-    global _REGISTRY_ON, ANY
-    _REGISTRY_ON = on
-    ANY = on or _TRACER_ON or _FLIGHT_ON
+os.register_at_fork(after_in_child=_fresh_lock)
 
 
-def set_flight_active(on: bool) -> None:
-    """Called by :mod:`repro.obs.flight` on every ACTIVE change."""
-    global _FLIGHT_ON, ANY
-    _FLIGHT_ON = on
-    ANY = on or _TRACER_ON or _REGISTRY_ON
+def set_active(observer: str, on: bool) -> None:
+    """Record whether ``observer`` is on; ``ANY`` follows the union."""
+    global ANY
+    with _lock:
+        if on:
+            _ON.add(observer)
+        else:
+            _ON.discard(observer)
+        ANY = bool(_ON)

@@ -30,8 +30,8 @@ _SPAWN_BARE = {"ProcessPoolExecutor", "Popen", "posix_spawn"}
 #: names whose presence in the same function shows the call site
 #: participates in the pressio-spanwire protocol (either direction)
 _PROPAGATION_MARKERS = {
-    "child_env", "serialize_context", "extract", "begin_child",
-    "end_child", "collect_fragments", "dump_fragments", "stitch",
+    "child_env", "serialize_context", "extract", "child_scope",
+    "collect_fragments", "dump_fragments", "stitch",
 }
 
 
@@ -77,7 +77,7 @@ class TracePropagationRule(Rule):
         "os.fork, ProcessPoolExecutor, multiprocessing.Process, ...) "
         "must use the repro.trace.propagate protocol in the same "
         "function body — child_env()/serialize_context() on the parent "
-        "side, extract()/begin_child() on the child side — or carry an "
+        "side, extract()/child_scope() on the child side — or carry an "
         "inline '# pressio-lint: disable=OB001' with a reason."
     )
     rationale = (
@@ -110,7 +110,7 @@ class TracePropagationRule(Rule):
                     f"{scope.name!r} spawns a process via "
                     f"{_call_name(node) or 'a spawn call'} without trace "
                     f"propagation; pass propagate.child_env() (parent) "
-                    f"or call propagate.extract()/begin_child() (child), "
+                    f"or call propagate.extract()/child_scope() (child), "
                     f"or suppress with a reasoned "
                     f"'# pressio-lint: disable=OB001'",
                 )

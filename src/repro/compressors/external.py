@@ -122,7 +122,7 @@ class ExternalCompressor(PressioCompressor):
             "--dims", ",".join(str(d) for d in dims),
             "--init-cost-ms", str(self._init_cost_ms),
         ]
-        ctx = _trace.ACTIVE
+        ctx = _trace.active_tracer()
         if ctx is not None:
             sink = os.path.join(os.path.dirname(in_path), "trace.jsonl")
             env = _propagate.child_env(sink)

@@ -22,7 +22,6 @@ import time
 from typing import TYPE_CHECKING
 
 from .. import _hot
-from ..obs import flight as _flight
 from ..obs import runtime as _obs
 from ..trace import runtime as _trace
 from .configurable import Configurable, ThreadSafety
@@ -68,53 +67,19 @@ class PressioCompressor(Configurable):
         in the C API; plugins are free to replace it.  Errors are raised
         as :class:`PressioError` and also recorded on :attr:`status`.
 
-        When tracing is active (:mod:`repro.trace`), the whole operation
-        runs inside a span carrying the plugin id, dtype, dims, and
-        input/output byte counts; nested plugin calls become child spans.
-        When a metrics registry is active (:mod:`repro.obs`), the call
-        additionally bumps the per-plugin operation counter, duration
-        histogram, and byte counters.  The disabled path costs one
-        shared module-global read (:data:`repro._hot.ANY`), exactly the
-        guard cost the tracer alone imposed.
+        When a tracer covers the caller (:mod:`repro.trace`), the whole
+        operation runs inside a span carrying the plugin id, dtype,
+        dims, and input/output byte counts; nested plugin calls become
+        child spans.  When a metrics registry is active
+        (:mod:`repro.obs`), the call additionally bumps the per-plugin
+        operation counter, duration histogram, and byte counters (see
+        :meth:`_observed`).  The disabled path costs one shared
+        module-global read (:data:`repro._hot.ANY`).
         """
         if not _hot.ANY:
             return self._compress_op(input, output)
-        ctx = _trace.ACTIVE
-        reg = _obs.ACTIVE
-        rec = _flight.ACTIVE
-        if ctx is None and reg is None and rec is None:
-            return self._compress_op(input, output)
-        if ctx is None:
-            start_ns = time.perf_counter_ns()
-            result = self._compress_op(input, output)
-            duration_ns = time.perf_counter_ns() - start_ns
-            if reg is not None:
-                _obs.record_operation(
-                    "compress", self.get_name(), input.dtype.name,
-                    duration_ns / 1e9,
-                    input.size_in_bytes, result.size_in_bytes)
-            if rec is not None:
-                # with tracing off, the flight ring gets no span events;
-                # record the operation directly so the last-N window
-                # still shows what ran before a failure
-                rec.record("operation", operation="compress",
-                           plugin=self.get_name(),
-                           dtype=input.dtype.name,
-                           duration_ns=duration_ns,
-                           input_bytes=input.size_in_bytes,
-                           output_bytes=result.size_in_bytes)
-            return result
-        with ctx.span("compress", plugin=self.get_name(),
-                      dtype=input.dtype.name, dims=list(input.dims),
-                      input_bytes=input.size_in_bytes) as sp:
-            result = self._compress_op(input, output)
-            sp.attrs["output_bytes"] = result.size_in_bytes
-        if reg is not None:
-            _obs.record_operation(
-                "compress", self.get_name(), input.dtype.name,
-                sp.duration_ns / 1e9,
-                input.size_in_bytes, result.size_in_bytes)
-        return result
+        return self._observed("compress", self._compress_op, input, output,
+                              input)
 
     def _compress_op(self, input: PressioData,
                      output: PressioData | None) -> PressioData:
@@ -153,43 +118,42 @@ class PressioCompressor(Configurable):
         fuzzer — can rely on one typed failure mode.  Programming errors
         (TypeError, AttributeError, ...) propagate unchanged.
 
-        Traced like :meth:`compress` when a trace context is active, and
-        counted on the active metrics registry when one is installed.
+        Observed like :meth:`compress`.
         """
         if not _hot.ANY:
             return self._decompress_op(input, output)
-        ctx = _trace.ACTIVE
-        reg = _obs.ACTIVE
-        rec = _flight.ACTIVE
-        if ctx is None and reg is None and rec is None:
-            return self._decompress_op(input, output)
+        return self._observed("decompress", self._decompress_op, input,
+                              output, output)
+
+    def _observed(self, operation: str, op, input: PressioData,
+                  output: PressioData | None,
+                  described: PressioData) -> PressioData:
+        """Run ``op`` under whichever observers are on.
+
+        Opens the operation span when this context resolves a tracer
+        and times the call otherwise, then hands one record to
+        :func:`repro.obs.runtime.record_operation`, which feeds the
+        registry and the flight ring.  ``described`` is the buffer whose
+        dtype and dims label the operation (the input of a compress, the
+        output template of a decompress).
+        """
+        plugin = self.get_name()
+        dtype = described.dtype.name
+        ctx = _trace.active_tracer()
         if ctx is None:
             start_ns = time.perf_counter_ns()
-            result = self._decompress_op(input, output)
+            result = op(input, output)
             duration_ns = time.perf_counter_ns() - start_ns
-            if reg is not None:
-                _obs.record_operation(
-                    "decompress", self.get_name(), output.dtype.name,
-                    duration_ns / 1e9,
-                    input.size_in_bytes, result.size_in_bytes)
-            if rec is not None:
-                rec.record("operation", operation="decompress",
-                           plugin=self.get_name(),
-                           dtype=output.dtype.name,
-                           duration_ns=duration_ns,
-                           input_bytes=input.size_in_bytes,
-                           output_bytes=result.size_in_bytes)
-            return result
-        with ctx.span("decompress", plugin=self.get_name(),
-                      dtype=output.dtype.name, dims=list(output.dims),
-                      input_bytes=input.size_in_bytes) as sp:
-            result = self._decompress_op(input, output)
-            sp.attrs["output_bytes"] = result.size_in_bytes
-        if reg is not None:
-            _obs.record_operation(
-                "decompress", self.get_name(), output.dtype.name,
-                sp.duration_ns / 1e9,
-                input.size_in_bytes, result.size_in_bytes)
+        else:
+            with ctx.span(operation, plugin=plugin, dtype=dtype,
+                          dims=list(described.dims),
+                          input_bytes=input.size_in_bytes) as sp:
+                result = op(input, output)
+                sp.attrs["output_bytes"] = result.size_in_bytes
+            duration_ns = sp.duration_ns
+        _obs.record_operation(operation, plugin, dtype, duration_ns / 1e9,
+                              input.size_in_bytes, result.size_in_bytes,
+                              spanned=ctx is not None)
         return result
 
     def _decompress_op(self, input: PressioData,

@@ -30,7 +30,9 @@ import numpy as np
 from ..core.compressor import PressioCompressor
 from ..core.data import PressioData
 from ..core.options import OptionType, PressioOptions
-from ..core.registry import compressor_plugin, metrics_registry
+from ..core.dtype import dtype_from_numpy, dtype_to_numpy
+from ..core.registry import (compressor_plugin, compressor_registry,
+                             metrics_registry)
 from ..core.status import CorruptStreamError, InvalidOptionError
 from ..encoders.headers import read_header, write_header
 from ..trace import propagate as _propagate
@@ -147,79 +149,39 @@ class ChunkingCompressor(_ParallelBase):
         return PressioData.from_numpy(full.reshape(dims), copy=False)
 
 
-def _process_compress(task: tuple) -> tuple:
-    """Process-pool worker: rebuild the compressor and compress.
+def _process_task(task: tuple) -> tuple:
+    """Process-pool worker: rebuild the compressor and run one action.
 
     Runs in a separate interpreter (the MPI-rank analog), so only
-    picklable state crosses: the plugin id, a plain options dict, the
-    raw buffer, and — when the parent was tracing — the
+    picklable state crosses: the action, the plugin id, a plain options
+    dict, the raw buffer, and — when the parent was tracing — the
     ``pressio-spanwire/1`` wire string.  USERPTR options cannot cross a
     process boundary — the same restriction the paper notes for
-    serialized configuration.  Returns ``(stream_bytes, fragments)``
+    serialized configuration.  Returns ``(result_bytes, fragments)``
     where fragments is the child's span dump (None when untraced); the
     pool's return channel carries them back in-band, no sink file
     needed.
     """
-    import numpy as _np
-
-    from ..core.data import PressioData as _PD
-    from ..core.registry import compressor_registry as _reg
-    from ..trace import propagate as _prop
-
-    compressor_id, options, payload, dtype_str, dims, wire = task
-    ctx = _prop.begin_child(_prop.extract(wire) if wire else None,
-                            name="process-worker")
-    try:
-        compressor = _reg.create(compressor_id)
+    action, compressor_id, options, payload, dtype_str, dims, wire = task
+    with _propagate.child_scope(
+            _propagate.extract(wire) if wire else None, "process-worker",
+            pid=_os.getpid(), action=action,
+            compressor=compressor_id) as ctx:
+        compressor = compressor_registry.create(compressor_id)
         if options and compressor.set_options(options) != 0:
             raise RuntimeError(compressor.error_msg())
-        arr = _np.frombuffer(payload,
-                             dtype=_np.dtype(dtype_str)).reshape(dims)
-        if ctx is not None:
-            with ctx.span("worker", pid=_os.getpid(),
-                          action="compress", compressor=compressor_id):
-                blob = compressor.compress(
-                    _PD.from_numpy(arr, copy=False)).to_bytes()
-            return blob, _prop.collect_fragments(ctx)
-        return compressor.compress(
-            _PD.from_numpy(arr, copy=False)).to_bytes(), None
-    finally:
-        if ctx is not None:
-            from ..trace import runtime as _rt
-
-            _rt.disable_tracing()
-
-
-def _process_decompress(task: tuple) -> tuple:
-    import numpy as _np
-
-    from ..core.data import PressioData as _PD
-    from ..core.dtype import dtype_from_numpy as _dfn
-    from ..core.registry import compressor_registry as _reg
-    from ..trace import propagate as _prop
-
-    compressor_id, options, stream, dtype_str, dims, wire = task
-    ctx = _prop.begin_child(_prop.extract(wire) if wire else None,
-                            name="process-worker")
-    try:
-        compressor = _reg.create(compressor_id)
-        if options and compressor.set_options(options) != 0:
-            raise RuntimeError(compressor.error_msg())
-        template = _PD.empty(_dfn(_np.dtype(dtype_str)), dims)
-        if ctx is not None:
-            with ctx.span("worker", pid=_os.getpid(),
-                          action="decompress", compressor=compressor_id):
-                out = compressor.decompress(_PD.from_bytes(stream),
-                                            template)
+        dtype = np.dtype(dtype_str)
+        if action == "compress":
+            arr = np.frombuffer(payload, dtype=dtype).reshape(dims)
+            blob = compressor.compress(
+                PressioData.from_numpy(arr, copy=False)).to_bytes()
+        else:
+            out = compressor.decompress(
+                PressioData.from_bytes(payload),
+                PressioData.empty(dtype_from_numpy(dtype), dims))
             blob = np.ascontiguousarray(out.to_numpy()).tobytes()
-            return blob, _prop.collect_fragments(ctx)
-        out = compressor.decompress(_PD.from_bytes(stream), template)
-        return np.ascontiguousarray(out.to_numpy()).tobytes(), None
-    finally:
-        if ctx is not None:
-            from ..trace import runtime as _rt
-
-            _rt.disable_tracing()
+    return blob, (_propagate.collect_fragments(ctx)
+                  if ctx is not None else None)
 
 
 @compressor_plugin("many_independent")
@@ -311,10 +273,8 @@ class ManyIndependentCompressor(_ParallelBase):
 
         workers = min(self._nthreads, len(payloads))
         wire = _propagate.serialize_context()
-        tasks = [p[1] + (wire,) for p in payloads]
-        kind = payloads[0][0]
-        fn = _process_compress if kind == "c" else _process_decompress
-        ctx = _trace.ACTIVE
+        tasks = [p + (wire,) for p in payloads]
+        ctx = _trace.active_tracer()
         invoke = None
         if ctx is not None:
             invoke = ctx.start_span("process_pool:invoke",
@@ -323,7 +283,7 @@ class ManyIndependentCompressor(_ParallelBase):
                                     n_workers=workers)
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(fn, tasks))
+                results = list(pool.map(_process_task, tasks))
         finally:
             if invoke is not None:
                 ctx.finish_span(invoke)
@@ -336,27 +296,24 @@ class ManyIndependentCompressor(_ParallelBase):
 
     def _process_map_compress(self, inputs: list[PressioData]
                               ) -> list[PressioData]:
-        from ..core.dtype import dtype_to_numpy
-
         tasks = []
         for data in inputs:
             arr = np.asarray(data.to_numpy())
-            tasks.append(("c", (self._inner_id, self._picklable_options,
-                                arr.tobytes(), str(arr.dtype), data.dims)))
+            tasks.append(("compress", self._inner_id,
+                          self._picklable_options, arr.tobytes(),
+                          str(arr.dtype), data.dims))
         return [PressioData.from_bytes(blob)
                 for blob in self._process_tasks(tasks)]
 
     def _process_map_decompress(self, inputs: list[PressioData],
                                 outputs: list[PressioData]
                                 ) -> list[PressioData]:
-        from ..core.dtype import dtype_to_numpy
-
         tasks = []
         for data, template in zip(inputs, outputs):
             np_dtype = dtype_to_numpy(template.dtype)
-            tasks.append(("d", (self._inner_id, self._picklable_options,
-                                data.to_bytes(), str(np_dtype),
-                                template.dims)))
+            tasks.append(("decompress", self._inner_id,
+                          self._picklable_options, data.to_bytes(),
+                          str(np_dtype), template.dims))
         results = []
         for blob, template in zip(self._process_tasks(tasks), outputs):
             np_dtype = dtype_to_numpy(template.dtype)

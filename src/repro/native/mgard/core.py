@@ -205,14 +205,18 @@ def compress(data: np.ndarray, tol: float, s: float = 0.0,
         span = _trace.stage("mgard:decompose", levels=levels)
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         coarse, details, _shapes = _decompose(
             arr.astype(np.float64, copy=False), levels)
+        if sp is not None:
+            sp.attrs.update(input_bytes=arr.nbytes, output_bytes=(
+                coarse.nbytes
+                + sum(d.nbytes for lvl in details for d in lvl)))
     if _trace.ACTIVE is not None:
         span = _trace.stage("mgard:quantize")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         # one flat code buffer sized for every piece, quantized into in
         # place of the old build-pieces-then-concatenate sequence
         total = int(sum(d.size for lvl in details for d in lvl)
@@ -238,6 +242,9 @@ def compress(data: np.ndarray, tol: float, s: float = 0.0,
             coarse_codes = lorenzo_encode(
                 quantize_uniform(coarse, bounds[-1]))
             allcodes[offset:] = coarse_codes.reshape(-1)
+            if sp is not None:
+                sp.attrs.update(input_bytes=total * 8,
+                                output_bytes=allcodes.nbytes)
         except BaseException:
             _pool.release(allcodes)
             raise
@@ -309,7 +316,7 @@ def decompress(stream: bytes | memoryview,
         span = _trace.stage("mgard:dequantize")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         for lvl in range(levels):
             shapes.append(tuple(run))
             level_details: list[np.ndarray] = []
@@ -321,6 +328,9 @@ def decompress(stream: bytes | memoryview,
                 level_details.append(dequantize_uniform(codes, bounds[lvl]))
             details.append(level_details)
             run = [(x + 1) // 2 for x in run]
+        if sp is not None:
+            sp.attrs.update(input_bytes=offset * 8, output_bytes=sum(
+                d.nbytes for lvl in details for d in lvl))
     n_coarse = int(np.prod(coarse_shape, dtype=np.int64))
     if offset + n_coarse != allcodes.size:
         raise CorruptStreamError(
@@ -337,8 +347,12 @@ def decompress(stream: bytes | memoryview,
         span = _trace.stage("mgard:reconstruct")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         out = _reconstruct(coarse, details, shapes)
+        if sp is not None:
+            sp.attrs.update(input_bytes=coarse.nbytes + sum(
+                d.nbytes for lvl in details for d in lvl),
+                            output_bytes=out.nbytes)
     np_dtype = dtype_to_numpy(dtype)
     if np_dtype.kind in "iu":
         return np.rint(out).astype(np_dtype)

@@ -233,7 +233,7 @@ def compress(data: np.ndarray, params: sz_params) -> bytes:
         span = _trace.stage("sz:quantize", bound=eb)
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         codes = _pool.acquire(work.shape, np.int64)
         scratch = _pool.acquire(work.shape, np.float64)
         try:
@@ -250,6 +250,9 @@ def compress(data: np.ndarray, params: sz_params) -> bytes:
                 offset = float(work.mean())
                 work = work - offset
                 quantize_uniform(work, eb, out=codes, scratch=scratch)
+            if sp is not None:
+                sp.attrs.update(input_bytes=work.nbytes,
+                                output_bytes=codes.nbytes)
         except BaseException:
             _pool.release(codes, scratch)
             raise
@@ -308,9 +311,12 @@ def decompress(stream: bytes | memoryview, expected_dims: tuple[int, ...] | None
         span = _trace.stage("sz:dequantize")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         out = dequantize_uniform(
             codes, eb, dtype=np.dtype(np.float64)) + offset
+        if sp is not None:
+            sp.attrs.update(input_bytes=codes.nbytes,
+                            output_bytes=out.nbytes)
     _pool.release(codes)
     np_dtype = dtype_to_numpy(dtype)
     if np_dtype.kind in "iu":

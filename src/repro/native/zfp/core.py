@@ -257,7 +257,7 @@ def compress(data: np.ndarray, mode: int, parameter: float,
         span = _trace.stage("zfp:quantize", mode=mode)
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         codes = _pool.acquire(values.shape, np.int64)
         scratch = _pool.acquire(values.shape, np.float64)
         try:
@@ -279,6 +279,9 @@ def compress(data: np.ndarray, mode: int, parameter: float,
                                      scratch=scratch)
             else:
                 raise ValueError(f"unknown zfp mode {mode}")
+            if sp is not None:
+                sp.attrs.update(input_bytes=arr.nbytes,
+                                output_bytes=codes.nbytes)
         except BaseException:
             _pool.release(codes, scratch)
             raise
@@ -288,7 +291,7 @@ def compress(data: np.ndarray, mode: int, parameter: float,
         span = _trace.stage("zfp:transform")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         blockbuf = _pool.acquire((nblocks,) + (BLOCK_SIDE,) * d, np.int64)
         try:
             try:
@@ -297,6 +300,9 @@ def compress(data: np.ndarray, mode: int, parameter: float,
                 _pool.release(codes)
             if transform:
                 _fwd_transform(blocks)
+            if sp is not None:
+                sp.attrs.update(input_bytes=codes.nbytes,
+                                output_bytes=blocks.nbytes)
         except BaseException:
             _pool.release(blockbuf)
             raise
@@ -305,8 +311,11 @@ def compress(data: np.ndarray, mode: int, parameter: float,
         span = _trace.stage("zfp:bitplane")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         try:
+            if sp is not None:
+                sp.attrs.update(input_bytes=blocks.nbytes,
+                                output_bytes=blocks.nbytes)
             if mode == MODE_ACCURACY:
                 # nothing is discarded: skip the whole shift/round pass
                 shifts = np.zeros(blocks.shape[0], dtype=np.int64)
@@ -397,7 +406,10 @@ def decompress(stream: bytes | memoryview,
         span = _trace.stage("zfp:transform")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
+        if sp is not None:
+            sp.attrs.update(input_bytes=kept.nbytes,
+                            output_bytes=kept.nbytes)
         # the coefficient buffer came off the entropy decoder, so the
         # shift and inverse transform can run on it in place
         blocks = kept.reshape((nblocks,) + (BLOCK_SIDE,) * d)
@@ -410,8 +422,11 @@ def decompress(stream: bytes | memoryview,
         span = _trace.stage("zfp:dequantize")
     else:
         span = nullcontext()
-    with span:
+    with span as sp:
         out = codes.astype(np.float64) * (2.0 * step)
+        if sp is not None:
+            sp.attrs.update(input_bytes=codes.nbytes,
+                            output_bytes=out.nbytes)
     # ``codes`` may be a view of the pooled coefficient buffer
     _pool.release(kept)
     if np_dtype.kind in "iu":

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from . import runtime
+from . import prometheus, runtime
 from .registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -34,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..trace.context import TraceContext
 
 __all__ = ["ingest_trace", "ingest_metrics_results", "ingest_profile",
-           "ingest_runtime"]
+           "ingest_runtime", "exposition"]
 
 
 def _target(registry: MetricsRegistry | None) -> MetricsRegistry | None:
@@ -150,6 +150,23 @@ def ingest_runtime(registry: MetricsRegistry | None = None) -> int:
     for name, help_text, value in values:
         reg.gauge(name, help_text).set(float(value))
     return len(values)
+
+
+def exposition(registry: MetricsRegistry) -> str:
+    """The Prometheus text every ``/metrics`` surface serves.
+
+    Refreshes the trace gauges (when a tracer is active) and the
+    buffer-pool gauges, then renders ``registry``; the obs listener,
+    the serve daemon and ``pressio top``'s local sampler all call this,
+    so the three expose the same families.
+    """
+    from ..trace import runtime as trace_runtime
+
+    ctx = trace_runtime.active_tracer()
+    if ctx is not None:
+        ingest_trace(ctx, registry)
+    ingest_runtime(registry)
+    return prometheus.render(registry)
 
 
 #: metrics-plugin result keys worth exposing, mapped to (metric, labels).

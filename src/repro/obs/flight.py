@@ -186,7 +186,7 @@ def enable_flight(capacity: int = 1024, dump_dir: str | None = None,
     global ACTIVE, _prev_excepthook, _prev_sigusr2
     recorder = FlightRecorder(capacity=capacity, dump_dir=dump_dir)
     ACTIVE = recorder
-    _hot.set_flight_active(True)
+    _hot.set_active("flight", True)
     from ..trace import context as _tcontext
 
     _tcontext.SPAN_SINK = recorder.record_span
@@ -225,7 +225,7 @@ def disable_flight() -> FlightRecorder | None:
     global ACTIVE, _prev_excepthook, _prev_sigusr2
     previous = ACTIVE
     ACTIVE = None
-    _hot.set_flight_active(False)
+    _hot.set_active("flight", False)
     from ..trace import context as _tcontext
 
     if getattr(_tcontext.SPAN_SINK, "__self__", None) is previous:

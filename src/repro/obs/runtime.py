@@ -11,7 +11,8 @@ Helpers degrade to no-ops when disabled, so instrumentation sites
 (including the *cold* error paths) never need their own guards:
 
 * :func:`record_operation` — op counter + duration histogram + byte
-  counters for one compress/decompress, labelled by plugin/dtype;
+  counters for one compress/decompress, labelled by plugin/dtype (and
+  the flight ring's operation record when no span carried it);
 * :func:`record_error` — the error-taxonomy counter family
   (``pressio_errors_total{operation,plugin,etype}``) plus a structured
   log record carrying the current span id;
@@ -56,7 +57,7 @@ def enable_metrics(registry: MetricsRegistry | None = None) -> MetricsRegistry:
     if registry is None:
         registry = MetricsRegistry()
     ACTIVE = registry
-    _hot.set_registry_active(True)
+    _hot.set_active("registry", True)
     return registry
 
 
@@ -65,7 +66,7 @@ def disable_metrics() -> MetricsRegistry | None:
     global ACTIVE
     previous = ACTIVE
     ACTIVE = None
-    _hot.set_registry_active(False)
+    _hot.set_active("registry", False)
     return previous
 
 
@@ -80,7 +81,7 @@ def metrics_enabled(registry: MetricsRegistry | None = None,
         yield installed
     finally:
         ACTIVE = previous
-        _hot.set_registry_active(previous is not None)
+        _hot.set_active("registry", previous is not None)
 
 
 # ---------------------------------------------------------------------------
@@ -89,14 +90,23 @@ def metrics_enabled(registry: MetricsRegistry | None = None,
 
 def record_operation(operation: str, plugin: str, dtype: str,
                      seconds: float, input_bytes: int,
-                     output_bytes: int) -> None:
-    """Record one completed compress/decompress on the active registry.
+                     output_bytes: int, spanned: bool = False) -> None:
+    """Record one completed compress/decompress with every observer.
 
-    The operation count is the series the acceptance check joins against
+    The single sink of :meth:`PressioCompressor._observed`.  The
+    operation count is the series the acceptance check joins against
     the trace aggregate report: one increment per public
     ``compress``/``decompress`` call, labelled exactly like the span the
-    tracer would open for the same call.
+    tracer opens for the same call.  The flight ring gets the record
+    only when ``spanned`` is False: a closed span already reached it
+    through :data:`repro.trace.context.SPAN_SINK`, and with tracing off
+    this keeps the last-N window showing what ran before a failure.
     """
+    rec = _flight.ACTIVE
+    if rec is not None and not spanned:
+        rec.record("operation", operation=operation, plugin=plugin,
+                   dtype=dtype, duration_ns=round(seconds * 1e9),
+                   input_bytes=input_bytes, output_bytes=output_bytes)
     reg = ACTIVE
     if reg is None:
         return
@@ -110,18 +120,14 @@ def record_operation(operation: str, plugin: str, dtype: str,
         "wall time of compress/decompress operations",
         ("operation", "plugin"),
     ).labels(operation=operation, plugin=plugin).observe(seconds)
-    reg.counter(
+    processed = reg.counter(
         "pressio_processed_bytes_total",
         "bytes entering (in) and leaving (out) operations",
-        ("operation", "plugin", "direction"),
-    ).labels(operation=operation, plugin=plugin, direction="in").inc(
-        input_bytes)
-    reg.counter(
-        "pressio_processed_bytes_total",
-        "bytes entering (in) and leaving (out) operations",
-        ("operation", "plugin", "direction"),
-    ).labels(operation=operation, plugin=plugin, direction="out").inc(
-        output_bytes)
+        ("operation", "plugin", "direction"))
+    processed.labels(operation=operation, plugin=plugin,
+                     direction="in").inc(input_bytes)
+    processed.labels(operation=operation, plugin=plugin,
+                     direction="out").inc(output_bytes)
     if operation == "compress" and output_bytes:
         reg.gauge(
             "pressio_last_compression_ratio",

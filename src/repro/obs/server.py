@@ -178,13 +178,7 @@ class MetricsServer:
             return (b"# metrics collection is disabled "
                     b"(call repro.obs.enable_metrics())\n",
                     prometheus.CONTENT_TYPE, 200)
-        from ..trace import runtime as trace_runtime
-
-        ctx = trace_runtime.active_tracer()
-        if ctx is not None:
-            bridge.ingest_trace(ctx, registry)
-        bridge.ingest_runtime(registry)
-        return (prometheus.render(registry).encode("utf-8"),
+        return (bridge.exposition(registry).encode("utf-8"),
                 prometheus.CONTENT_TYPE, 200)
 
     def _health_response(self) -> tuple[bytes, str, int]:

@@ -34,7 +34,7 @@ import tracemalloc
 from typing import Any
 
 from ..trace.context import Span, TraceContext
-from ..trace.runtime import disable_tracing, enable_tracing
+from ..trace.runtime import tracing
 
 __all__ = ["SCHEMA", "ProfilingTraceContext", "StageProfiler",
            "build_stage_rows", "span_path"]
@@ -161,8 +161,8 @@ class StageProfiler:
             compressor.compress(data)
         profile = prof.result(meta={"compressor": "sz"})
 
-    The profiler *replaces* the active tracer for the duration of the
-    block (restoring the previous one on exit), so nesting inside an
+    The profiler *replaces* the process-wide tracer for the duration of
+    the block (restoring the previous one on exit), so nesting inside an
     already-traced region hands the spans to the profiler.  Sampling
     and allocation tracking are both optional; disable them for the
     lowest-perturbation deterministic-only runs.
@@ -178,19 +178,16 @@ class StageProfiler:
         self.sampler = None
         self.wall_ns: int | None = None
         self._t0: int | None = None
-        self._previous: TraceContext | None = None
         self._started_tracemalloc = False
 
     # -- lifecycle --------------------------------------------------------
     def __enter__(self) -> "StageProfiler":
-        from ..trace import runtime as _trace
-
         if self.track_alloc:
             from .memory import start_tracking
 
             self._started_tracemalloc = start_tracking()
-        self._previous = _trace.ACTIVE
-        enable_tracing(self.ctx)
+        self._tracing = tracing(self.ctx)
+        self._tracing.__enter__()
         if self.sample_interval is not None:
             from .sampler import SamplingProfiler
 
@@ -203,10 +200,7 @@ class StageProfiler:
         self.wall_ns = time.perf_counter_ns() - (self._t0 or 0)
         if self.sampler is not None:
             self.sampler.stop()
-        if self._previous is not None:
-            enable_tracing(self._previous)
-        else:
-            disable_tracing()
+        self._tracing.__exit__(None, None, None)
         if self._started_tracemalloc:
             from .memory import stop_tracking
 

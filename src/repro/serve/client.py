@@ -252,7 +252,7 @@ class ServeClient:
     # -- frame operations --------------------------------------------------
 
     def _call(self, req: Request) -> Response:
-        ctx = _trace.ACTIVE
+        ctx = _trace.active_tracer()
         if ctx is None:
             return self._call_plain(req)
         with ctx.span(f"serve:{req.op}", compressor=req.compressor,
@@ -511,7 +511,7 @@ class ServeClient:
                 options: dict[str, Any] | None,
                 cache: str) -> Response | None:
         """Fast path for shm-backed compress/roundtrip; None = fall back."""
-        if not self.use_shm or _trace.ACTIVE is not None:
+        if not self.use_shm or _trace.active_tracer() is not None:
             return None
         am = self._arr_memo
         if am is not None and am[0] is array:

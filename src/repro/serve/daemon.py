@@ -25,7 +25,9 @@ Endpoints:
   segment; drop cached views so it can be unlinked;
 * ``GET /v1/compressors`` — registry listing (JSON);
 * ``GET /healthz`` — liveness + worker/queue stats (JSON);
-* ``GET /metrics`` — the active obs registry in Prometheus text.
+* ``GET /metrics`` — the active obs registry in Prometheus text, via
+  the one :func:`repro.obs.bridge.exposition` (trace and buffer-pool
+  gauges refreshed first).
 
 Every request lands in the ``pressio_serve_*`` metric families with a
 ``tenant`` label; the body read buffer comes from the native buffer
@@ -46,6 +48,7 @@ import numpy as np
 
 from ..core.library import Pressio
 from ..native import pool as _pool
+from ..obs import bridge as _bridge
 from ..obs import prometheus as _prom
 from ..obs import runtime as _obs
 from ..obs.server import bind_with_fallback
@@ -256,10 +259,11 @@ class _Handler(socketserver.StreamRequestHandler):
                 b"Content-Type: application/x-pressio-serve\r\n"
                 b"Content-Length: %d\r\n\r\n" % len(body) + body)
             return
+        extra = dict(extra or {})
         head = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}",
-                f"Content-Type: {content_type}",
+                f"Content-Type: {extra.pop('Content-Type', content_type)}",
                 f"Content-Length: {len(body)}"]
-        for key, value in (extra or {}).items():
+        for key, value in extra.items():
             head.append(f"{key}: {value}")
         head.append("\r\n")
         self.wfile.write("\r\n".join(head).encode("latin-1") + body)
@@ -409,12 +413,13 @@ class ServeServer:
                    "compressors": self.library.supported_compressors()}
             return 200, {}, json.dumps(doc).encode() + b"\n"
         if path in ("/healthz", "/health"):
-            return 200, {}, self._health_body()
+            return 200, {"Content-Type": "application/json"}, \
+                self._health_body()
         if path == "/metrics":
             reg = _obs.ACTIVE
-            if reg is None:
-                return 200, {}, b"# metrics collection is disabled\n"
-            return 200, {}, _prom.render(reg).encode("utf-8")
+            body = (b"# metrics collection is disabled\n" if reg is None
+                    else _bridge.exposition(reg).encode("utf-8"))
+            return 200, {"Content-Type": _prom.CONTENT_TYPE}, body
         return 404, {}, b"not found\n"
 
     def _handle_frame(self, path: str,

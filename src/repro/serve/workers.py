@@ -33,11 +33,10 @@ across workers through one per-plugin-id lock; ``serialized`` and
 coordination.
 
 Trace propagation: a request carrying a ``pressio-spanwire/1`` context
-runs under :func:`repro.trace.propagate.begin_child` and returns its
-span fragments in-band in the response frame; because the tracer's
-``ACTIVE`` slot is process-global (and an in-process test client may
-have its own context installed), traced requests serialize on one lock
-and save/restore the previous global.
+runs under :func:`repro.trace.propagate.child_scope` — a tracer scoped
+to that request's logical context, so traced requests run concurrently
+and each records only its own spans — and returns its span fragments
+in-band in the response frame.
 
 Fault injection (``fault`` field in the frame) is honored only when
 the pool is constructed with ``allow_fault_injection=True`` — the
@@ -61,7 +60,6 @@ from ..core.dtype import DType, dtype_from_numpy
 from ..obs import flight as _flight
 from ..obs import runtime as _obs
 from ..trace import propagate as _propagate
-from ..trace import runtime as _trace
 from .cache import ArtifactCache, fingerprint
 from .errors import (
     BadPayloadError,
@@ -138,7 +136,6 @@ class WorkerPool:
         self._slots = threading.Semaphore(workers)
         self._tls = threading.local()
         self._lock = threading.Lock()
-        self._trace_lock = threading.Lock()
         self._wrap_lock = threading.Lock()
         self._wraps: dict[tuple, PressioData] = {}
         self._descrs: dict[tuple, PressioData] = {}
@@ -321,38 +318,17 @@ class WorkerPool:
                 raise RuntimeError("induced unhandled exception")
         remote = _propagate.extract(req.trace) if req.trace else None
         if remote is not None and remote.sampled:
-            resp = self._execute_traced(req, comp_cache, remote)
+            with _propagate.child_scope(
+                    remote, "serve-worker", f"serve:{req.op}",
+                    tenant=req.tenant, compressor=req.compressor) as ctx:
+                resp = self._execute(req, comp_cache)
+            resp.fragments = _propagate.collect_fragments(ctx)
         else:
             resp = self._execute(req, comp_cache)
         if not resp.lean:
             resp.stats["queue_us"] = (start_ns - item.enqueue_ns) // 1000
             resp.stats["worker_us"] = (
                 time.perf_counter_ns() - start_ns) // 1000
-        return resp
-
-    def _execute_traced(self, req: Request, comp_cache: dict,
-                        remote) -> Response:
-        # The tracer's ACTIVE slot is process-global; serialize traced
-        # requests and restore whatever context the (possibly
-        # in-process) client had installed.
-        with self._trace_lock:
-            prev = _trace.ACTIVE
-            ctx = _propagate.begin_child(remote, name="serve-worker")
-            fragments: list[dict] = []
-            try:
-                if ctx is not None:
-                    with ctx.span(f"serve:{req.op}", tenant=req.tenant,
-                                  compressor=req.compressor):
-                        resp = self._execute(req, comp_cache)
-                else:
-                    resp = self._execute(req, comp_cache)
-            finally:
-                if ctx is not None:
-                    fragments = _propagate.collect_fragments(ctx)
-                _trace.disable_tracing()
-                if prev is not None:
-                    _trace.enable_tracing(prev)
-        resp.fragments = fragments
         return resp
 
     def _execute(self, req: Request, comp_cache: dict) -> Response:

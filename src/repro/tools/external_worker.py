@@ -81,16 +81,10 @@ def _run(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parse_args(argv)
-    remote = _propagate.extract()
-    ctx = _propagate.begin_child(remote, name="external-worker")
-    try:
-        if ctx is None:
-            return _run(args)
-        with ctx.span("worker", pid=os.getpid(), action=args.action,
-                      compressor=args.compressor):
-            return _run(args)
-    finally:
-        _propagate.end_child(ctx, remote)
+    with _propagate.child_scope(_propagate.extract(), "external-worker",
+                                pid=os.getpid(), action=args.action,
+                                compressor=args.compressor):
+        return _run(args)
 
 
 if __name__ == "__main__":

@@ -60,21 +60,16 @@ _RESET = "\x1b[0m"
 def sample_local() -> ParsedExposition | None:
     """Scrape the in-process registry (None when collection is off).
 
-    Mirrors what the HTTP endpoint serves: refresh the trace and
-    runtime bridges first, then render and re-parse, so a local frame
-    is byte-equivalent to scraping this process over the wire.
+    Parses the same :func:`repro.obs.bridge.exposition` every HTTP
+    ``/metrics`` endpoint serves, so a local frame is byte-equivalent
+    to scraping this process over the wire.
     """
     registry = _obs_runtime.ACTIVE
     if registry is None:
         return None
     from ..obs import bridge
-    from ..trace import runtime as trace_runtime
 
-    ctx = trace_runtime.active_tracer()
-    if ctx is not None:
-        bridge.ingest_trace(ctx, registry)
-    bridge.ingest_runtime(registry)
-    return _prom.parse(_prom.render(registry))
+    return _prom.parse(bridge.exposition(registry))
 
 
 def sample_remote(url: str) -> ParsedExposition:

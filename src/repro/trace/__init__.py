@@ -19,8 +19,8 @@ from the command line.
 
 from .context import Histogram, Span, TraceContext
 from .propagate import (
-    begin_child,
     child_env,
+    child_scope,
     collect_fragments,
     dump_fragments,
     extract,
@@ -42,6 +42,7 @@ from .runtime import (
     disable_tracing,
     enable_tracing,
     observe,
+    scoped_tracing,
     stage,
     tracing,
     wrap_task,
@@ -55,6 +56,7 @@ __all__ = [
     "enable_tracing",
     "disable_tracing",
     "tracing",
+    "scoped_tracing",
     "current_span",
     "stage",
     "annotate",
@@ -69,7 +71,7 @@ __all__ = [
     "serialize_context",
     "child_env",
     "extract",
-    "begin_child",
+    "child_scope",
     "collect_fragments",
     "dump_fragments",
     "stitch",

@@ -28,8 +28,9 @@ from typing import Any, Iterator
 __all__ = ["Span", "Histogram", "TraceContext", "SPAN_SINK"]
 
 #: The innermost open span of the current logical context.  Module-level
-#: (not per-TraceContext) because at most one context is active at a time
-#: and per-instance ContextVars are not collected promptly.
+#: (not per-TraceContext) because each logical context records into one
+#: tracer (:func:`repro.trace.runtime.active_tracer`) and per-instance
+#: ContextVars are not collected promptly.
 _CURRENT_SPAN: ContextVar["Span | None"] = ContextVar(
     "repro_trace_current_span", default=None
 )

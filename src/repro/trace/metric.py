@@ -14,14 +14,18 @@ Options: ``trace:jsonl_path`` and ``trace:chrome_path`` export the
 accumulated trace when results are read; ``trace:clear_on_reset``
 controls whether ``reset()`` drops collected spans.
 
-If tracing is already active (``repro.trace.tracing()`` around the
-call), the plugin leaves the ambient context in place and reports from
-it; otherwise it activates its own context for the duration of each
-operation, so the plugin composes with, rather than shadows, scoped
-tracing.
+If a tracer already covers the call (``repro.trace.tracing()`` around
+it, or a served request's scoped tracer), the plugin leaves it in place
+and reports from it; otherwise it opens its own context as a
+request-scoped tracer (:func:`repro.trace.runtime.scoped_tracing`) for
+the duration of each operation.  That scope is visible only to the
+operation's own logical context, so another thread compressing at the
+same time never lands in this plugin's results.
 """
 
 from __future__ import annotations
+
+from contextlib import ExitStack
 
 import numpy as np
 
@@ -46,7 +50,7 @@ class TraceMetrics(PressioMetrics):
         self._chrome_path = ""
         self._clear_on_reset = True
         self._source: TraceContext = self._context
-        self._owns_activation = False
+        self._scope: ExitStack | None = None
         self._op_span: Span | None = None
 
     @property
@@ -76,30 +80,27 @@ class TraceMetrics(PressioMetrics):
     def _begin(self, kind: str, input) -> None:
         ambient = runtime.active_tracer()
         if ambient is not None:
-            # scoped tracing is already collecting the op span opened by
-            # the compressor itself; just report from that context
+            # a tracer is already collecting the op span opened by the
+            # compressor itself; just report from that context
             self._source = ambient
             return
         self._source = self._context
-        runtime.enable_tracing(self._context)
-        self._owns_activation = True
-        self._op_span = self._context.start_span(
+        self._scope = ExitStack()
+        self._scope.enter_context(runtime.scoped_tracing(self._context))
+        self._op_span = self._scope.enter_context(self._context.span(
             kind,
             input_bytes=input.size_in_bytes,
             dtype=input.dtype.name,
             dims=list(input.dims),
-        )
+        ))
 
     def _end(self, output) -> None:
-        if not self._owns_activation:
+        if self._scope is None:
             return
-        if self._op_span is not None:
-            if output is not None:
-                self._op_span.set_attr("output_bytes", output.size_in_bytes)
-            self._context.finish_span(self._op_span)
-            self._op_span = None
-        runtime.disable_tracing()
-        self._owns_activation = False
+        if output is not None:
+            self._op_span.set_attr("output_bytes", output.size_in_bytes)
+        scope, self._scope, self._op_span = self._scope, None, None
+        scope.close()
 
     def begin_compress(self, input) -> None:
         self._begin("compress", input)
@@ -116,8 +117,7 @@ class TraceMetrics(PressioMetrics):
     # -- results -----------------------------------------------------------
     def get_metrics_results(self) -> PressioOptions:
         # close a span leaked by an operation that errored between hooks
-        if self._owns_activation:
-            self._end(None)
+        self._end(None)
         ctx = self._source
         results = PressioOptions()
         spans = ctx.spans()
@@ -140,8 +140,7 @@ class TraceMetrics(PressioMetrics):
         return results
 
     def reset(self) -> None:
-        if self._owns_activation:
-            self._end(None)
+        self._end(None)
         if self._clear_on_reset:
             self._context.clear()
         self._source = self._context

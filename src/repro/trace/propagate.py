@@ -10,11 +10,12 @@ closes the boundary in three steps:
    parent's span id plus request baggage (tenant label, error-bound
    config, sampling decision) and an optional fragment-sink path into
    the ``PRESSIO_TRACE_CONTEXT`` environment variable;
-2. **record** — the child calls :func:`extract` + :func:`begin_child`,
-   traces normally, and emits its spans either to the sink file
-   (:func:`dump_fragments`, JSONL) or in-band as plain dicts
-   (:func:`collect_fragments`, for process pools whose return values
-   already cross the boundary);
+2. **record** — the child calls :func:`extract` and runs its work
+   inside :func:`child_scope` (a request-scoped tracer plus a root
+   span), then emits its spans either to the sink file
+   (:func:`dump_fragments`, JSONL, done by the scope itself) or in-band
+   as plain dicts (:func:`collect_fragments`, for process pools and
+   serve responses whose return values already cross the boundary);
 3. **stitch** — the parent calls :func:`stitch` to adopt the fragments
    into its own :class:`~repro.trace.context.TraceContext`: span ids are
    remapped through :meth:`TraceContext.allocate_span_id`, child roots
@@ -43,10 +44,11 @@ from __future__ import annotations
 import json
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterable, TextIO
+from typing import Any, Iterable, Iterator, TextIO
 
-from .context import Histogram, Span, TraceContext
+from .context import _CURRENT_SPAN, Histogram, Span, TraceContext
 
 __all__ = [
     "WIRE_VERSION",
@@ -55,8 +57,7 @@ __all__ = [
     "serialize_context",
     "child_env",
     "extract",
-    "begin_child",
-    "end_child",
+    "child_scope",
     "collect_fragments",
     "dump_fragments",
     "read_fragments",
@@ -96,7 +97,7 @@ def serialize_context(sink: str | None = None,
     """
     from . import runtime as _trace
 
-    ctx = _trace.ACTIVE
+    ctx = _trace.active_tracer()
     if ctx is None:
         return None
     current = ctx.current_span()
@@ -168,18 +169,28 @@ def extract(source: dict[str, str] | str | None = None,
     )
 
 
-def begin_child(remote: RemoteParent | None,
-                name: str = "child") -> TraceContext | None:
-    """Enable tracing in a child process from an inbound wire context.
+@contextmanager
+def child_scope(remote: RemoteParent | None, name: str = "child",
+                root: str = "worker", **attrs: Any,
+                ) -> Iterator[TraceContext | None]:
+    """Trace a child's work from an inbound wire context.
 
-    Returns the installed :class:`TraceContext` (carrying the parent's
-    baggage), or None when there is no wire context or the parent's
-    sampling decision said no.
+    Opens a request-scoped tracer (:func:`repro.trace.runtime.scoped_tracing`)
+    carrying the parent's baggage and, inside it, a ``root`` span with
+    ``attrs``; yields the tracer, or None when there is no wire context
+    or the parent's sampling decision said no.  On exit — success or
+    failure — the root span and the scope close and, when the wire names
+    a sink, the fragments are dumped there.  In-band callers call
+    :func:`collect_fragments` on the yielded tracer after the block.
+
+    Telemetry must never turn a successful operation into a failed one,
+    so sink-write problems are counted on the error taxonomy (when a
+    registry is active) and otherwise swallowed.
     """
     if remote is None or not remote.sampled:
-        return None
+        yield None
+        return
     from . import runtime as _trace
-    from .context import _CURRENT_SPAN
 
     ctx = TraceContext(name)
     ctx.baggage.update(remote.baggage)
@@ -189,32 +200,20 @@ def begin_child(remote: RemoteParent | None,
     # a fork()ed child inherits the parent's ContextVar state; without
     # this reset its spans would parent under a span id from the
     # *parent's* id space and cycle after stitching
-    _CURRENT_SPAN.set(None)
-    _trace.enable_tracing(ctx)
-    return ctx
-
-
-def end_child(ctx: TraceContext | None,
-              remote: RemoteParent | None) -> None:
-    """Disable child tracing and dump fragments to the sink, best effort.
-
-    Telemetry must never turn a successful operation into a failed one,
-    so sink-write problems are counted on the error taxonomy (when a
-    registry is active) and otherwise swallowed.
-    """
-    if ctx is None:
-        return
-    from . import runtime as _trace
-
-    _trace.disable_tracing()
-    if remote is None or remote.sink is None:
-        return
+    token = _CURRENT_SPAN.set(None)
     try:
-        dump_fragments(ctx, remote.sink)
-    except OSError as e:
-        from ..obs import runtime as _obs
+        with _trace.scoped_tracing(ctx), ctx.span(root, **attrs):
+            yield ctx
+    finally:
+        _CURRENT_SPAN.reset(token)
+        if remote.sink is not None:
+            try:
+                dump_fragments(ctx, remote.sink)
+            except OSError as e:
+                from ..obs import runtime as _obs
 
-        _obs.record_error("trace-dump", "propagate", e, sink=remote.sink)
+                _obs.record_error("trace-dump", "propagate", e,
+                                  sink=remote.sink)
 
 
 def collect_fragments(ctx: TraceContext) -> list[dict[str, Any]]:

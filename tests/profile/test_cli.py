@@ -99,12 +99,20 @@ class TestDispatch:
 
 
 class TestLeafStageBytes:
-    """Leaf codec stages stamp their bytes, so the profile prints MB/s."""
+    """Every leaf codec stage stamps its bytes, so the profile prints MB/s."""
 
     @pytest.mark.parametrize("compressor,stages", [
-        ("sz", ("sz:entropy", "sz:predict")),
-        ("zfp", ("zfp:entropy",)),
-        ("mgard", ("mgard:entropy",)),
+        ("sz", {"compress": ("sz:quantize", "sz:predict", "sz:entropy"),
+                "decompress": ("sz:entropy", "sz:predict",
+                               "sz:dequantize")}),
+        ("zfp", {"compress": ("zfp:quantize", "zfp:transform",
+                              "zfp:bitplane", "zfp:entropy"),
+                 "decompress": ("zfp:entropy", "zfp:transform",
+                                "zfp:dequantize")}),
+        ("mgard", {"compress": ("mgard:decompose", "mgard:quantize",
+                                "mgard:entropy"),
+                   "decompress": ("mgard:entropy", "mgard:dequantize",
+                                  "mgard:reconstruct")}),
     ])
     def test_stage_rows_carry_bytes(self, tmp_path, capsys, compressor,
                                     stages):
@@ -116,8 +124,12 @@ class TestLeafStageBytes:
         assert rc == 0
         rows = {r["path"]: r for r in
                 json.loads(json_path.read_text())["stages"]}
-        for op in ("compress", "decompress"):
-            for stage in stages:
-                row = rows[f"{op}[{compressor}]/{stage}"]
-                assert row["bytes_in"] > 0 and row["bytes_out"] > 0
-                assert row["bytes_per_s"] > 0
+        for op, names in stages.items():
+            for stage in names:
+                assert f"{op}[{compressor}]/{stage}" in rows
+        leaf = [r for path, r in rows.items()
+                if path.split("/")[-1].startswith(f"{compressor}:")]
+        assert len(leaf) == sum(len(n) for n in stages.values())
+        for row in leaf:
+            assert row["bytes_in"] > 0 and row["bytes_out"] > 0, row["path"]
+            assert row["bytes_per_s"] > 0, row["path"]

@@ -208,6 +208,31 @@ class TestManagement:
         finally:
             obs.disable_metrics()
 
+    def test_metrics_endpoint_is_the_shared_exposition(self, server, block):
+        from urllib.request import urlopen
+
+        from repro import obs
+        from repro.obs import prometheus
+
+        obs.enable_metrics()
+        try:
+            c = ServeClient(port=server.port)
+            try:
+                c.compress(block, "sz")
+            finally:
+                c.close()
+            with urlopen(f"{server.url}/metrics", timeout=10) as resp:
+                ctype = resp.headers["Content-Type"]
+                text = resp.read().decode("utf-8")
+            with urlopen(f"{server.url}/healthz", timeout=10) as resp:
+                health_ctype = resp.headers["Content-Type"]
+        finally:
+            obs.disable_metrics()
+        assert ctype == prometheus.CONTENT_TYPE
+        assert health_ctype == "application/json"
+        assert "pressio_pool_hits_total" in text
+        assert "pressio_serve_requests_total" in text
+
     def test_release_endpoint_forgets_segments(self, server, block):
         c = ServeClient(port=server.port, use_shm=True)
         try:

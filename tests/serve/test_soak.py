@@ -9,7 +9,9 @@ The invariants under load, asserted exactly:
   requests that reached the pool, and nothing is left in flight;
 * gauge consistency: the health endpoint and the admission controller
   agree after the storm (in-flight back to zero, peak bounded by the
-  ceiling).
+  ceiling);
+* traced, with every thread on its own scoped tracer: each response
+  carries only its own request's spans.
 
 Runs under ``PRESSIO_SANITIZE=1`` in CI so the dynamic race sanitizer
 watches the locks while the storm runs.
@@ -17,6 +19,7 @@ watches the locks while the storm runs.
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -25,6 +28,8 @@ from repro.core.data import PressioData
 from repro.core.library import Pressio
 from repro.serve.client import ServeClient
 from repro.serve.daemon import ServeServer
+from repro.trace import active_tracer, scoped_tracing
+from repro.trace.context import TraceContext
 
 THREADS = 8
 REQUESTS_PER_THREAD = 12
@@ -45,45 +50,79 @@ def _expected_outputs(block: np.ndarray) -> dict[str, bytes]:
     return out
 
 
-def test_soak_mixed_tenants_compressors_and_paths():
+def _soak_block() -> np.ndarray:
     rng = np.random.default_rng(20210429)
-    block = np.ascontiguousarray(
+    return np.ascontiguousarray(
         np.cumsum(rng.standard_normal(1000)).reshape(
             10, 10, 10).astype(np.float32))
-    expected = _expected_outputs(block)
-    total = THREADS * REQUESTS_PER_THREAD
 
-    with ServeServer(port=0, workers=4, max_inflight=64) as server:
-        errors: list[str] = []
-        barrier = threading.Barrier(THREADS)
 
-        def storm(tid: int) -> None:
-            # even threads take the shm fast path, odd threads inline;
-            # half of the shm threads disable lean replies
-            client = ServeClient(
-                port=server.port, tenant=TENANTS[tid % len(TENANTS)],
-                use_shm=tid % 2 == 0, lean=tid % 4 == 0)
-            try:
-                barrier.wait(timeout=10)
+def _storm(server: ServeServer, block: np.ndarray,
+           expected: dict[str, bytes], traced: bool) -> list[str]:
+    """THREADS clients x REQUESTS_PER_THREAD roundtrips; returns errors.
+
+    With ``traced`` every thread records into its own scoped tracer and
+    checks, request by request, that the spans stitched back from the
+    daemon are that request's alone: one worker root carrying the
+    thread's tenant, and operation spans of the requested compressor.
+    """
+    errors: list[str] = []
+    barrier = threading.Barrier(THREADS)
+
+    def own_spans(ctx, seen: int, tenant: str, cid: str) -> str | None:
+        remote = [s for s in ctx.spans()[seen:] if "remote_pid" in s.attrs]
+        roots = [s.attrs.get("tenant") for s in remote
+                 if s.name == "serve:roundtrip"]
+        plugins = {s.attrs.get("plugin") for s in remote
+                   if s.name in ("compress", "decompress")}
+        if roots != [tenant] or plugins != {cid}:
+            return f"foreign spans: roots {roots}, plugins {plugins}"
+        return None
+
+    def storm(tid: int) -> None:
+        # even threads take the shm fast path, odd threads inline;
+        # half of the shm threads disable lean replies
+        tenant = TENANTS[tid % len(TENANTS)]
+        client = ServeClient(port=server.port, tenant=tenant,
+                             use_shm=tid % 2 == 0, lean=tid % 4 == 0)
+        scope = (scoped_tracing(TraceContext(f"client-{tid}")) if traced
+                 else contextlib.nullcontext())
+        try:
+            barrier.wait(timeout=10)
+            with scope as ctx:
                 for i in range(REQUESTS_PER_THREAD):
                     cid = COMPRESSORS[(tid + i) % len(COMPRESSORS)]
+                    seen = len(ctx.spans()) if traced else 0
                     out, _stats = client.roundtrip(block, cid)
                     if out.tobytes() != expected[cid]:
                         errors.append(
                             f"thread {tid} req {i} ({cid}): wrong bytes")
-            except Exception as exc:  # noqa: BLE001 - collected for assert
-                errors.append(f"thread {tid}: {type(exc).__name__}: {exc}")
-            finally:
-                client.close()
+                    problem = (own_spans(ctx, seen, tenant, cid)
+                               if traced else None)
+                    if problem:
+                        errors.append(f"thread {tid} req {i}: {problem}")
+        except Exception as exc:  # noqa: BLE001 - collected for assert
+            errors.append(f"thread {tid}: {type(exc).__name__}: {exc}")
+        finally:
+            client.close()
 
-        threads = [threading.Thread(target=storm, args=(t,))
-                   for t in range(THREADS)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-        assert not any(t.is_alive() for t in threads), "soak thread hung"
-        assert errors == []
+    threads = [threading.Thread(target=storm, args=(t,))
+               for t in range(THREADS)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in threads), "soak thread hung"
+    return errors
+
+
+def test_soak_mixed_tenants_compressors_and_paths():
+    block = _soak_block()
+    expected = _expected_outputs(block)
+    total = THREADS * REQUESTS_PER_THREAD
+
+    with ServeServer(port=0, workers=4, max_inflight=64) as server:
+        assert _storm(server, block, expected, traced=False) == []
 
         # -- pool counter invariants -----------------------------------
         assert server.pool.completed + server.pool.failed == total
@@ -108,6 +147,17 @@ def test_soak_mixed_tenants_compressors_and_paths():
         assert health["inflight"] == 0
         assert health["completed"] == server.pool.completed
         assert health["failed"] == 0
+
+
+def test_traced_soak_each_response_carries_only_its_own_spans():
+    block = _soak_block()
+    expected = _expected_outputs(block)
+    with ServeServer(port=0, workers=4, max_inflight=64) as server:
+        assert _storm(server, block, expected, traced=True) == []
+        assert server.pool.completed == THREADS * REQUESTS_PER_THREAD
+        assert server.pool.failed == 0
+        assert server.admission.inflight == 0
+    assert active_tracer() is None
 
 
 def test_saturation_sheds_cleanly_and_recovers():

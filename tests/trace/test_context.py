@@ -1,9 +1,12 @@
 """Unit tests for the tracing primitives (Span, TraceContext, runtime)."""
 
+import sys
 import threading
 
 import pytest
 
+from repro import _hot
+from repro.trace import runtime
 from repro.trace import (
     TraceContext,
     active_tracer,
@@ -13,6 +16,7 @@ from repro.trace import (
     disable_tracing,
     enable_tracing,
     observe,
+    scoped_tracing,
     stage,
     tracing,
     wrap_task,
@@ -202,6 +206,59 @@ class TestRuntime:
         assert worker_span.parent_id == root.span_id
         assert worker_span.thread_id == results["thread"]
         assert worker_span.thread_id != root.thread_id
+
+
+    def test_scoped_tracer_visible_only_to_its_context(self):
+        seen = {}
+
+        def raw():
+            seen["raw"] = active_tracer()
+            with stage("raw-op"):
+                pass
+
+        def carried():
+            seen["carried"] = active_tracer()
+            with stage("carried-op"):
+                pass
+
+        with scoped_tracing() as ctx:
+            with ctx.span("request") as request:
+                for name, target in (("raw", raw),
+                                     ("carried", wrap_task(carried))):
+                    t = threading.Thread(target=target, name=name)
+                    t.start()
+                    t.join(timeout=10)
+                    assert not t.is_alive()
+        assert seen == {"raw": None, "carried": ctx}
+        carried_op = [s for s in ctx.spans() if s.name == "carried-op"]
+        assert [s.parent_id for s in carried_op] == [request.span_id]
+        assert not any(s.name == "raw-op" for s in ctx.spans())
+        assert active_tracer() is None and runtime.ACTIVE is None
+
+    def test_concurrent_scopes_leave_no_tracer_open(self):
+        # a lost update on the open-scope count would leave ACTIVE and
+        # the hot-path flag set after every scope has closed
+        errors = []
+
+        def churn():
+            for _ in range(300):
+                with scoped_tracing() as ctx:
+                    if active_tracer() is not ctx:
+                        errors.append("saw another scope's tracer")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert runtime.ACTIVE is None and not _hot.ANY
 
 
 class TestExclusiveInvariant:

@@ -7,6 +7,7 @@ parented under the dispatching operation.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -253,6 +254,39 @@ class TestTraceMetricsPlugin:
         comp.set_metrics(library.get_metric("trace"))
         roundtrip(comp, smooth3d)
         assert active_tracer() is None
+
+
+    def test_ignores_other_threads_compressors(self, library):
+        rng = np.random.default_rng(11)
+        field = rng.random((48, 48, 48))
+        other = PressioData.from_numpy(rng.random((16, 16, 16)))
+        stop, ran = threading.Event(), threading.Event()
+
+        def neighbour() -> None:
+            zfp = library.get_compressor("zfp")
+            while not stop.is_set():
+                zfp.compress(other)
+                ran.set()
+
+        comp = library.get_compressor("sz")
+        comp.set_options({"pressio:abs": 1e-4})
+        comp.set_metrics(library.get_metric("trace"))
+        thread = threading.Thread(target=neighbour)
+        thread.start()
+        try:
+            assert ran.wait(timeout=10)
+            for _ in range(3):
+                roundtrip(comp, field)
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        results = comp.get_metrics_results()
+        assert results.get("trace:compress:calls") == 3
+        assert results.get("trace:decompress:calls") == 3
+        assert results.get("trace:sz:quantize:calls") == 3
+        assert [k for k in results.keys() if "zfp" in k] == []
+        assert results.get("trace:span_count") == len(
+            comp.get_metrics().context.spans())
 
 
 class TestTraceCli:

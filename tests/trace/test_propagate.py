@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from repro import PressioData
-from repro.trace import (disable_tracing, enable_tracing, render_tree,
-                         tracing)
+from repro.trace import (active_tracer, current_span, disable_tracing,
+                         enable_tracing, render_tree, tracing)
 from repro.trace import propagate
 from repro.trace.context import TraceContext
 
@@ -105,62 +105,69 @@ class TestWireFormat:
 # ---------------------------------------------------------------------------
 
 class TestChildLifecycle:
-    def test_begin_child_installs_fresh_context_with_baggage(self):
+    def test_child_scope_installs_fresh_context_with_baggage(self):
         remote = propagate.RemoteParent(parent_span_id=9,
                                         baggage={"tenant": "t"})
-        ctx = propagate.begin_child(remote, name="worker")
-        try:
+        with propagate.child_scope(remote, "worker", tid=1) as ctx:
             assert ctx is not None
+            assert active_tracer() is ctx
             assert ctx.baggage["tenant"] == "t"
             assert ctx.baggage["remote_parent_span_id"] == 9
             with ctx.span("work") as sp:
                 pass
-            assert sp.parent_id is None  # fresh id space, fresh root
-        finally:
-            disable_tracing()
+        root = ctx.roots()
+        assert [r.name for r in root] == ["worker"]  # fresh id space
+        assert root[0].attrs["tid"] == 1 and root[0].end_ns is not None
+        assert sp.parent_id == root[0].span_id
+        assert active_tracer() is None  # the scope closed behind itself
 
-    def test_begin_child_resets_fork_inherited_current_span(self):
+    def test_child_scope_resets_fork_inherited_current_span(self):
         # simulate fork(): the parent's ContextVar still points at a
         # span from the parent's id space when the child starts
         parent_ctx = TraceContext("parent")
         enable_tracing(parent_ctx)
         inherited = parent_ctx.start_span("parent-op")
         remote = propagate.RemoteParent(parent_span_id=inherited.span_id)
-        child_ctx = propagate.begin_child(remote, name="worker")
-        try:
-            with child_ctx.span("work") as sp:
+        with propagate.child_scope(remote, "worker") as child_ctx:
+            with child_ctx.span("work"):
                 pass
-            assert sp.parent_id is None, (
-                "child span must not parent onto an id from the "
-                "parent's id space")
-        finally:
-            disable_tracing()
+        assert child_ctx.roots()[0].parent_id is None, (
+            "child span must not parent onto an id from the "
+            "parent's id space")
+        assert not any(s.name == "work" for s in parent_ctx.spans())
+        assert current_span() is inherited  # restored on exit
+        parent_ctx.finish_span(inherited)
 
     def test_unsampled_or_absent_context_stays_untraced(self):
-        assert propagate.begin_child(None) is None
-        assert propagate.begin_child(
-            propagate.RemoteParent(sampled=False)) is None
+        with propagate.child_scope(None) as ctx:
+            assert ctx is None and active_tracer() is None
+        with propagate.child_scope(
+                propagate.RemoteParent(sampled=False)) as ctx:
+            assert ctx is None
 
-    def test_end_child_dumps_fragments_to_sink(self, tmp_path):
+    def test_child_scope_dumps_fragments_to_sink(self, tmp_path):
         sink = str(tmp_path / "frags.jsonl")
         remote = propagate.RemoteParent(sink=sink)
-        ctx = propagate.begin_child(remote, name="worker")
-        with ctx.span("work"):
-            pass
-        propagate.end_child(ctx, remote)
+        with pytest.raises(RuntimeError):
+            with propagate.child_scope(remote, "worker") as ctx:
+                with ctx.span("work"):
+                    pass
+                raise RuntimeError("the child's work failed")
         lines = propagate.read_fragments(sink)
         assert lines[0]["kind"] == "anchor"
         assert lines[0]["pid"] == os.getpid()
         assert any(ln["kind"] == "span" and ln["name"] == "work"
                    for ln in lines)
+        root = [ln for ln in lines if ln.get("name") == "worker"]
+        assert root[0]["status"] == "error:RuntimeError"
 
-    def test_end_child_swallows_sink_write_failure(self, tmp_path):
+    def test_child_scope_swallows_sink_write_failure(self, tmp_path):
         remote = propagate.RemoteParent(
             sink=str(tmp_path / "no-such-dir" / "frags.jsonl"))
-        ctx = propagate.begin_child(remote, name="worker")
-        with ctx.span("work"):
-            pass
-        propagate.end_child(ctx, remote)  # must not raise
+        with propagate.child_scope(remote, "worker") as ctx:
+            with ctx.span("work"):
+                pass
+        # exiting the scope above must not raise
 
     def test_read_fragments_skips_torn_lines(self, tmp_path):
         sink = tmp_path / "torn.jsonl"
