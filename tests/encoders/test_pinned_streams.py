@@ -9,6 +9,9 @@ digests are the same on every platform; a kernel rewrite that changes
 one output byte fails here.  Each residual case also asserts which
 plane encodings its stream uses, so the coverage of CONST, RAW, SPARSE,
 BITPACK (widths 1-8 plus a ragged tail) and ZLIB cannot silently drift.
+The residual cases also cover codes stored at 1, 2, 3, 5 and 8 byte
+planes, each reaching the signed extremes of its width, and an
+odd-length array whose planes take the wide byte histogram.
 """
 
 from __future__ import annotations
@@ -107,6 +110,21 @@ def _residual_cases() -> dict[str, tuple[np.ndarray, str, set[int]]]:
     ext = _lcg(2048, 9).view(np.int64).copy()
     ext[:4] = [2 ** 63 - 1, -2 ** 63, 0, -1]
     cases["extremes"] = (ext, "zlib", {_RAW})
+    # codes stored in 2, 3 and 5 byte planes, each reaching both signed
+    # extremes of its width (-2**(8p-1) and 2**(8p-1) - 1)
+    for planes in (2, 3, 5):
+        bits = 8 * planes
+        v = _lcg(n, 200 + planes) >> np.uint64(64 - bits + 6)
+        v[::61] = np.uint64((1 << bits) - 1)
+        v[1::61] = np.uint64((1 << bits) - 2)
+        cases[f"planes{planes}"] = (_from_codes(v), "zlib", {_RAW, _ZLIB})
+    # an odd-length array whose planes are above the byte-histogram
+    # cutoff: noise low plane, low-entropy high plane
+    m = 3 * 2 ** 16 + 1
+    j = np.arange(m, dtype=np.uint64)
+    v = (_lcg(m, 300) >> np.uint64(56)) | ((j * j % np.uint64(11))
+                                          << np.uint64(8))
+    cases["odd_large"] = (_from_codes(v), "zlib", {_RAW, _ZLIB})
     return cases
 
 
@@ -142,6 +160,18 @@ RESIDUAL_DIGESTS: dict[str, tuple[str, str]] = {
     "extremes": (
         "7a110778855122c35bfcf2427be9700a4bf8592d6253f0983ee89b2298da54b6",
         "720393c474c6213aefaacd2da78591413daf76df30e4d25fdfe544bd1999cd8a"),
+    "odd_large": (
+        "0db88caa8c5b21c7307ad975ab8d01c41d26a52b447a0f0f4dc1b64b90ab7e60",
+        "c906c4f65dbdb1c09fedef8457b4b33a01d8661e9bf843bd7fffcbb59427f1fb"),
+    "planes2": (
+        "abf8e3b7a7e6d981bd7bb3e8cc312494c56a8d5e4d18d905b5a22d3d11b1447d",
+        "b3576e4e886d0521e3aad0b784542df20b5768c7ac2a9c480f789c466aacdf90"),
+    "planes3": (
+        "648e69a927a1d870f7a0df1480c02adcf3d63558fd92329478b4efd2976eebf2",
+        "e47b164f6523a84e666fd386931656a7e1f14bb13d5b33b5bdb4bed7feb9c291"),
+    "planes5": (
+        "8b492d1340aabc18f2abb96ce0d7bed12c2b1492a30f4503e34a0b42527b9af0",
+        "1fbeecfc23abe9ddc40f1a663d9fe8999024e7f40d668e35789a8c845f4b4d51"),
     "raw_bitpack": (
         "39650b78118ec4b382d2436d44231278817646ca99d5e4cf6ab07aaa8bf1b261",
         "f45344041a971b7ecf00ab757d44643c882b407926fcd9bba163662cb9254a43"),
@@ -189,6 +219,7 @@ _FIELD_CASES = {
 _FIELD_CASES.update({
     "fpzip_24": ("fpzip", 24, {}),
     "mgard_24_1e3": ("mgard", 24, {"pressio:abs": 1e-3}),
+    "mgard_64_1e3": ("mgard", 64, {"pressio:abs": 1e-3}),
 })
 
 #: stream sha256, decompressed-bytes sha256 for every field case
@@ -199,6 +230,9 @@ FIELD_DIGESTS: dict[str, tuple[str, str]] = {
     "mgard_24_1e3": (
         "451d4f9376087edff1c071542a5f35a5bce50b4663a395ed4b5c0b04ecdc4dd1",
         "b94858c0842cebaaf5818d5eec12c14dd8d734467a24aaffb56e2be4e0e85d10"),
+    "mgard_64_1e3": (
+        "61158de0c7a982e8fbc32bb393d87b9ff58eb7b34a9ea37c2e8ad94fa9859d92",
+        "f0ebbd0da55441d784591929ba844ee20ce67bbce19a8a0bf551822e12b1dd6b"),
     "sz_24_1e2": (
         "1d9511eb4d698f0f1aa5023cc39479b0a15906e704416cdc13fb9cf5b41ab6aa",
         "cd6f194bb91b310379b6f09601ba91664a089f7ff36ba69dffdf78e40ab278a4"),
