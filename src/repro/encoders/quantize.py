@@ -5,10 +5,10 @@ that dequantization reconstructs within ±eb — the textbook error-bounded
 quantizer every abs-bound lossy compressor in the paper builds on.
 
 The hot path is written as a fixed number of whole-array passes with no
-data-dependent branches: scale, one fused validation ``max`` (NaN
-propagates through ``max``, so non-finite input and overflow share a
-single reduction — the error kind is only disambiguated on the cold
-raise path), round in place, cast.  Callers on the native hot paths
+data-dependent branches: scale, one validation ``max``/``min`` pair
+(NaN propagates through both, so non-finite input and overflow share a
+single check — the error kind is only disambiguated on the cold raise
+path), round in place, cast.  Callers on the native hot paths
 pass ``out=``/``scratch=`` buffers from :mod:`repro.native.pool` to
 keep the per-operation allocation count at zero.
 """
@@ -51,9 +51,11 @@ def quantize_uniform(values: np.ndarray, error_bound: float,
     else:
         scaled = np.asarray(arr, dtype=np.float64) / (2.0 * error_bound)
     if arr.size:
-        peak = float(np.max(np.abs(scaled)))
-        # NaN fails every comparison, so this single check catches both
-        # non-finite input (NaN peak, or inf >= bound) and overflow.
+        # max and -min instead of max(|x|): no full-size temporary.  NaN
+        # propagates through both reductions and fails every comparison,
+        # so this single check catches both non-finite input (NaN peak,
+        # or inf >= bound) and overflow.
+        peak = max(float(scaled.max()), -float(scaled.min()))
         if not peak < _MAX_CODE:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("cannot quantize non-finite values")
@@ -87,7 +89,7 @@ def dequantize_uniform(codes: np.ndarray, error_bound: float,
                         out=out, casting="unsafe")
             return out
         scaled = np.asarray(codes, dtype=np.float64) * (2.0 * error_bound)
-        return scaled.astype(dtype)
+        return scaled.astype(dtype, copy=False)
 
 
 def safe_quantizer_step(values: np.ndarray, requested_eb: float) -> float:

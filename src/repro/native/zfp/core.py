@@ -30,7 +30,7 @@ from ...core.status import CorruptStreamError, InvalidDimensionsError
 from ...encoders.headers import read_header, write_header
 from ...encoders.predictors import lorenzo_decode, lorenzo_encode
 from ...encoders.residual import decode_residuals, encode_residuals
-from ...encoders.quantize import quantize_uniform
+from ...encoders.quantize import dequantize_uniform, quantize_uniform
 from .. import pool as _pool
 
 __all__ = ["compress", "decompress",
@@ -376,6 +376,8 @@ def decompress(stream: bytes | memoryview,
         return _decompress_reversible(bytes(view[pos:]), dims, np_dtype)
 
     step = doubles[0]
+    if not step > 0:  # every stream compress writes has a positive step
+        raise CorruptStreamError(f"quantizer step {step} is not positive")
     shift_len = ints[1]
     transform = bool(ints[2]) if len(ints) > 2 else True
     import zlib as _zlib
@@ -423,7 +425,8 @@ def decompress(stream: bytes | memoryview,
     else:
         span = nullcontext()
     with span as sp:
-        out = codes.astype(np.float64) * (2.0 * step)
+        out = dequantize_uniform(codes, step,
+                                 out=np.empty(codes.shape, np.float64))
         if sp is not None:
             sp.attrs.update(input_bytes=codes.nbytes,
                             output_bytes=out.nbytes)
@@ -431,7 +434,7 @@ def decompress(stream: bytes | memoryview,
     _pool.release(kept)
     if np_dtype.kind in "iu":
         return np.rint(out).astype(np_dtype)
-    return out.astype(np_dtype)
+    return out.astype(np_dtype, copy=False)
 
 
 # ----------------------------------------------------------------------
