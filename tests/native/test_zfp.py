@@ -1,5 +1,7 @@
 """Tests for the ZFP native: blocking, transform, modes, API."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,16 @@ class TestModes:
         stream = zfp.compress(smooth3d, zfp.MODE_ACCURACY, 1e-3)
         with pytest.raises(CorruptStreamError):
             zfp.decompress(stream, expected_dims=(2, 2))
+
+    @pytest.mark.parametrize("step", [0.0, -1e-3])
+    def test_non_positive_step_is_corrupt(self, smooth3d, step):
+        stream = zfp.compress(smooth3d, zfp.MODE_ACCURACY, 1e-3)
+        # the step is the first header double, right after the dims
+        at = 9 + 8 * smooth3d.ndim
+        assert struct.unpack_from("<d", stream, at)[0] == 1e-3
+        bad = stream[:at] + struct.pack("<d", step) + stream[at + 8:]
+        with pytest.raises(CorruptStreamError, match="step"):
+            zfp.decompress(bad)
 
 
 class TestPaddingInefficiency:
